@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE))
+
+import env  # noqa: E402
+
+env.prepare()
