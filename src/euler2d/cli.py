@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: run, compare, radius (offline fit on a norms CSV), spectrum.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 reversion
-failure.
+Exit codes: 0 success, 2 configuration or input error, 3 numerical failure
+(including a step that stays too large after the allowed halvings), 4
+reversion failure, 5 any other solver error (every Euler2DError
+subclass ends in one of these codes, never in a traceback).
 """
 
 import argparse
@@ -12,7 +14,14 @@ import sys
 import numpy as np
 
 from . import diagnostics, io, runner, spectral
-from .errors import ConfigError, InsufficientDataError, NumericalError, ReversionError
+from .errors import (
+    ConfigError,
+    Euler2DError,
+    InsufficientDataError,
+    NumericalError,
+    ReversionError,
+    StepTooLargeError,
+)
 
 
 def _add_run_parser(sub):
@@ -129,12 +138,15 @@ def main(argv=None):
     except (ConfigError, InsufficientDataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, StepTooLargeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ReversionError as exc:
         print(f"reversion failure: {exc}", file=sys.stderr)
         return 4
+    except Euler2DError as exc:
+        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

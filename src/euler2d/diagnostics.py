@@ -36,10 +36,10 @@ class SpectrumReport:
 
 def vorticity_spectrum(omega):
     """Enstrophy shells E(K) = (1/2) sum_{K <= |k| < K+1} |coeff|^2."""
-    n = omega.shape[-1]
+    n = omega.shape[-2]
     k1, k2 = spectral.wavegrid(n)
     shell = np.floor(np.sqrt(k1 * k1 + k2 * k2)).astype(np.int64)
-    e = 0.5 * np.abs(omega) ** 2
+    e = 0.5 * spectral.half_plane_weights(n) * np.abs(omega) ** 2
     shells = np.bincount(shell.ravel(), weights=e.ravel())
     return SpectrumReport(shells=shells)
 
@@ -118,13 +118,12 @@ def fit_analyticity_delta(spec, window):
 
 def energy(omega):
     """Kinetic energy (1/2) sum_k |v_k|^2."""
-    v = spectral.velocity_from_vorticity(omega)
-    return 0.5 * float(np.sum(np.abs(v) ** 2))
+    return 0.5 * spectral.norm_l2(spectral.velocity_from_vorticity(omega)) ** 2
 
 
 def enstrophy(omega):
     """(1/2) sum_k |omega_k|^2."""
-    return 0.5 * float(np.sum(np.abs(omega) ** 2))
+    return 0.5 * spectral.norm_l2(omega) ** 2
 
 
 def max_discrepancy(a, b):

@@ -13,6 +13,10 @@ class SymmetryError(Euler2DError):
     """Spectral field violates the Hermitian symmetry required of real data."""
 
 
+class LayoutError(Euler2DError):
+    """Spectral array not in the (..., n, n//2+1) half-spectrum layout."""
+
+
 class ArityError(Euler2DError):
     """Scalar operation applied to a vector field or vice versa."""
 

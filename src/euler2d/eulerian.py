@@ -80,12 +80,18 @@ def rk4_step(state, dt):
 
 def et_coefficients(omega0, order):
     """Taylor coefficients from (s+1) w_{s+1} = -sum_m (v_m . grad) w_{s-m}."""
+    n = omega0.shape[-2]
     coeffs = [np.array(omega0)]
-    v_grids = [spectral.inverse(spectral.velocity_from_vorticity(omega0), check=False)]
-    grad_grids = [spectral.inverse(spectral.gradient(omega0), check=False)]
+    v_grids = []
+    grad_grids = []
     norms = [spectral.norm_l2(omega0)]
     for s in range(order):
-        acc = np.zeros_like(omega0.real)
+        # w_s enters the sums from order s+1 on; w_order itself is never read
+        v_grids.append(
+            spectral.inverse(spectral.velocity_from_vorticity(coeffs[s]), check=False)
+        )
+        grad_grids.append(spectral.inverse(spectral.gradient(coeffs[s]), check=False))
+        acc = np.zeros((n, n))
         for m in range(s + 1):
             g = grad_grids[s - m]
             acc += v_grids[m][0] * g[0] + v_grids[m][1] * g[1]
@@ -95,10 +101,6 @@ def et_coefficients(omega0, order):
             raise NumericalError(f"non-finite ET coefficient at order {s + 1}", order=s + 1)
         coeffs.append(w_next)
         norms.append(spectral.norm_l2(w_next))
-        v_grids.append(
-            spectral.inverse(spectral.velocity_from_vorticity(w_next), check=False)
-        )
-        grad_grids.append(spectral.inverse(spectral.gradient(w_next), check=False))
     return EtStack(coeffs=coeffs, norms=norms)
 
 
@@ -118,4 +120,4 @@ def max_speed(omega):
 
 def courant_number(omega, dt):
     """Co = k_max * U_max * dt with k_max the dealias cutoff."""
-    return spectral.dealias_cutoff(omega.shape[-1]) * max_speed(omega) * dt
+    return spectral.dealias_cutoff(omega.shape[-2]) * max_speed(omega) * dt

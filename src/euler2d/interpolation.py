@@ -76,12 +76,13 @@ def slow_fourier_check(reverted, state, sample_points):
     sample_points = list(sample_points)
     if not sample_points:
         return 0.0
-    n = reverted.shape[-1]
+    n = reverted.shape[-2]
     k1, k2 = spectral.wavegrid(n)
+    weighted = spectral.half_plane_weights(n) * reverted
     worst = 0.0
     for i, j in sample_points:
         xp = state.positions[0][i, j]
         yp = state.positions[1][i, j]
-        val = np.real(np.sum(reverted * np.exp(1j * (k1 * xp + k2 * yp))))
+        val = np.real(np.sum(weighted * np.exp(1j * (k1 * xp + k2 * yp))))
         worst = max(worst, abs(val - state.lagrangian_vorticity[i, j]))
     return worst

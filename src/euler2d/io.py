@@ -31,17 +31,31 @@ def write_field(path, values, time):
 
 
 def read_field(path):
-    """Return (values, time); vectors come back with shape (c, n, n)."""
+    """Return (values, time); vectors come back with shape (c, n, n).
+
+    Raises ConfigError unless the header carries the magic and valid n=,
+    c=, t= keys and the payload holds exactly c*n*n float64 values.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(HEADER_LEN).decode("ascii")
+        header = fh.read(HEADER_LEN).decode("ascii", errors="replace")
         data = fh.read()
     parts = header.split()
     if not parts or parts[0] != MAGIC:
         raise ConfigError(f"{path}: not a field file")
-    fields = dict(p.split("=", 1) for p in parts[1:])
-    n = int(fields["n"])
-    comps = int(fields["c"])
-    time = float(fields["t"])
+    fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
+    try:
+        n = int(fields["n"])
+        comps = int(fields["c"])
+        time = float(fields["t"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad field header {header.strip()!r}") from exc
+    if n < 1 or comps < 1:
+        raise ConfigError(f"{path}: bad field size n={n} c={comps}")
+    if len(data) != 8 * comps * n * n:
+        raise ConfigError(
+            f"{path}: payload of {len(data)} bytes, expected {8 * comps * n * n} "
+            f"for n={n} c={comps}"
+        )
     values = np.frombuffer(data, dtype="<f8").copy()
     shape = (n, n) if comps == 1 else (comps, n, n)
     return values.reshape(shape), time

@@ -56,7 +56,6 @@ class StepPlan:
     order: int
     dt: float
     epsilon: float
-    r_estimate: float | None = None
 
 
 @dataclass
@@ -80,10 +79,10 @@ def next_coefficient(stack, omega_init, s, max_order=None):
     if s != len(stack.coeffs):
         raise StateError(f"coefficients 1..{s - 1} must be present to build order {s}")
     n = stack.n
+    ik1, ik2 = spectral.derivative_multipliers(n)
     if s == 1:
         psi = spectral.inverse_laplacian(omega_init)
-        k1, k2 = spectral.wavegrid(n)
-        return np.stack([-1j * k2 * psi, 1j * k1 * psi])
+        return np.stack([-ik2 * psi, ik1 * psi])
 
     curl_src = np.zeros((n, n))
     div_src = np.zeros((n, n))
@@ -99,8 +98,7 @@ def next_coefficient(stack, omega_init, s, max_order=None):
     div_hat = spectral.dealias(spectral.forward(div_src))
     psi = spectral.inverse_laplacian(curl_hat)
     phi = spectral.inverse_laplacian(div_hat)
-    k1, k2 = spectral.wavegrid(n)
-    return np.stack([-1j * k2 * psi + 1j * k1 * phi, 1j * k1 * psi + 1j * k2 * phi])
+    return np.stack([ik1 * phi - ik2 * psi, ik1 * psi + ik2 * phi])
 
 
 def build_stack(v_init, omega_init, order, max_order=None):
@@ -109,7 +107,7 @@ def build_stack(v_init, omega_init, order, max_order=None):
     xi^(1) is taken directly as the initial velocity; higher coefficients
     come from the recurrence.  NaN in any coefficient aborts with the order.
     """
-    n = v_init.shape[-1]
+    n = v_init.shape[-2]
     stack = TaylorStack(n=n)
     stack.append(np.array(v_init))
     for s in range(2, order + 1):

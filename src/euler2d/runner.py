@@ -13,7 +13,13 @@ from dataclasses import dataclass, field as dc_field, asdict
 import numpy as np
 
 from . import diagnostics, eulerian, interpolation, io, lagrangian, spectral
-from .errors import ConfigError, InsufficientDataError, NumericalError, ReversionError
+from .errors import (
+    ConfigError,
+    InsufficientDataError,
+    NumericalError,
+    ReversionError,
+    StepTooLargeError,
+)
 
 METHODS = ("CL", "RK2", "RK4", "ET")
 INITIALS = ("four_mode", "random", "ab", "file")
@@ -71,23 +77,19 @@ def make_four_mode(n):
     """cos a + cos b + 0.6 cos 2a + 0.2 cos 3a, as exact spectral modes."""
     if n < 8:
         raise ConfigError("four-mode flow needs n >= 8")
-    s = np.zeros((n, n), dtype=np.complex128)
+    s = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     for k, amp in ((1, 1.0), (2, 0.6), (3, 0.2)):
         s[k, 0] = amp / 2.0
         s[-k, 0] = amp / 2.0
     s[0, 1] = 0.5
-    s[0, -1] = 0.5
     return s
 
 
 def make_ab_flow(n):
     """sin a cos b: steady vorticity of the 2D Euler equation."""
-    s = np.zeros((n, n), dtype=np.complex128)
-    quarter = 0.25
-    s[1, 1] = -1j * quarter
-    s[1, -1] = -1j * quarter
-    s[-1, 1] = 1j * quarter
-    s[-1, -1] = 1j * quarter
+    s = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    s[1, 1] = -0.25j
+    s[-1, 1] = 0.25j
     return s
 
 
@@ -108,12 +110,13 @@ def make_random_flow(n, seed, modulus_floor=1e-18):
 
     Phases are i.i.d. uniform on [0, 2pi) from a seeded PCG64 generator,
     drawn in a fixed lattice order; opposite wavevectors are conjugate so
-    the field is real.
+    the field is real.  Of each pair, the member with k2 >= 0 is stored
+    (both when k2 = 0).
     """
     if n < 32:
         raise ConfigError("random flow needs n >= 32")
     rng = np.random.Generator(np.random.PCG64(seed))
-    s = np.zeros((n, n), dtype=np.complex128)
+    s = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     kc = spectral.dealias_cutoff(n)
     shell_counts = {}
     for shell in range(1, kc + 2):
@@ -134,8 +137,10 @@ def make_random_flow(n, seed, modulus_floor=1e-18):
             if modulus < modulus_floor:
                 continue
             value = modulus * np.exp(1j * phase)
-            s[k1 % n, k2 % n] = value
-            s[(-k1) % n, (-k2) % n] = np.conj(value)
+            if k2 >= 0:
+                s[k1 % n, k2] = value
+            if k2 <= 0:
+                s[(-k1) % n, -k2] = np.conj(value)
     return s
 
 
@@ -299,11 +304,11 @@ def _run_cl(config, omega, artifacts, writer, record_diagnostics):
         omega_grid = spectral.inverse(omega, check=False)
         rejections = 0
         while True:
-            state = lagrangian.evaluate_displacement(stack, dt, omega_grid)
             try:
+                state = lagrangian.evaluate_displacement(stack, dt, omega_grid)
                 reverted = interpolation.cascade_revert(state)
                 break
-            except ReversionError:
+            except (StepTooLargeError, ReversionError):
                 rejections += 1
                 if rejections > MAX_REJECTIONS:
                     raise

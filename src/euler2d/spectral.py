@@ -6,15 +6,31 @@ Grid fields are real float64 arrays of shape (n, n) sampled at
 a_i = 2*pi*i/n, b_j = 2*pi*j/n with array index [i, j].  Vector fields
 stack components along a leading axis, shape (2, n, n).
 
-Spectral fields are complex128 arrays in numpy fft2 layout (full complex
-lattice, both signs of k).  The forward transform carries 1/n^2 so that
-coefficients are Fourier-series coefficients: coeff(0, 0) is the spatial
-mean and cos(a) has coefficients 1/2 at k = (+-1, 0).
+Spectral fields are complex128 arrays in numpy rfft2 layout: the half
+spectrum of shape (..., n, n//2+1), k1 signed along axis -2 (fftfreq
+order) and k2 = 0..n//2 along axis -1.  The modes with k2 < 0 are the
+complex conjugates of the stored ones and are not kept, so every spectral
+field stands for a real grid field.  Only the k2 = 0 column (and the
+Nyquist column k2 = n/2 when n is even) holds both k and -k; there the
+stored values must be conjugate pairs.  The grid size n is read from
+axis -2; an array whose last axis is not n//2+1 (a full (n, n) lattice,
+say) is rejected with LayoutError.
+
+The forward transform carries 1/n^2 so that coefficients are
+Fourier-series coefficients: coeff(0, 0) is the spatial mean and cos(a)
+has coefficients 1/2 at k = (+-1, 0).  Sums over the full lattice, such
+as Parseval norms, weight each stored mode by half_plane_weights(n).
+
+The odd-derivative multipliers 1j*k are zero on the Nyquist row and
+column (n even): a Nyquist mode sampled on the grid has no derivative
+that is both real and consistent with its -k partner.
 """
+
+import functools
 
 import numpy as np
 
-from .errors import ArityError, NonzeroMeanError, SymmetryError
+from .errors import ArityError, LayoutError, NonzeroMeanError, SymmetryError
 
 HERMITIAN_TOL = 1e-12
 
@@ -25,15 +41,74 @@ def grid_coordinates(n):
     return np.meshgrid(x, x, indexing="ij")
 
 
-def wavenumbers(n):
-    """Signed integer wavenumbers in fft layout."""
-    return np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+# Operator tables are built once per grid size; a process uses few sizes.
+_cached = functools.lru_cache(maxsize=8)
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@_cached
 def wavegrid(n):
-    """Meshgrids (k1, k2) of shape (n, n) matching the spectral layout."""
-    k = wavenumbers(n)
-    return np.meshgrid(k, k, indexing="ij")
+    """Read-only integer grids (k1, k2) of shape (n, n//2+1).
+
+    k1 follows fftfreq order (signed), k2 rfftfreq order (0..n//2).
+    """
+    k1 = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    k2 = np.fft.rfftfreq(n, 1.0 / n).astype(np.int64)
+    return tuple(_frozen(g) for g in np.meshgrid(k1, k2, indexing="ij"))
+
+
+@_cached
+def derivative_multipliers(n):
+    """Read-only (2, n, n//2+1) stack of 1j*k1 and 1j*k2, zero at Nyquist."""
+    k1, k2 = wavegrid(n)
+    ik = 1j * np.stack([k1, k2]).astype(np.float64)
+    if n % 2 == 0:
+        ik[0, n // 2, :] = 0.0
+        ik[1, :, n // 2] = 0.0
+    return _frozen(ik)
+
+
+@_cached
+def _inverse_laplacian_multiplier(n):
+    """Read-only -1/|k|^2 on the half spectrum, zero at k = 0."""
+    k1, k2 = wavegrid(n)
+    k2norm = (k1 * k1 + k2 * k2).astype(np.float64)
+    k2norm[0, 0] = 1.0
+    out = -1.0 / k2norm
+    out[0, 0] = 0.0
+    return _frozen(out)
+
+
+@_cached
+def dealias_mask(n):
+    """Read-only 0/1 mask of the modes kept by the 2/3 rule.
+
+    Stored as complex128 so that masking a spectral field is a product
+    within one dtype.
+    """
+    k1, k2 = wavegrid(n)
+    kc = dealias_cutoff(n)
+    keep = (np.abs(k1) <= kc) & (np.abs(k2) <= kc)
+    return _frozen(keep.astype(np.complex128))
+
+
+@_cached
+def half_plane_weights(n):
+    """Read-only multiplicity of each stored mode in the full lattice.
+
+    1 on the k2 = 0 column and, for even n, the Nyquist column k2 = n/2
+    (both hold k and -k themselves); 2 elsewhere (the -k partner is
+    implied).
+    """
+    w = np.full((n, n // 2 + 1), 2.0)
+    w[:, 0] = 1.0
+    if n % 2 == 0:
+        w[:, n // 2] = 1.0
+    return _frozen(w)
 
 
 def dealias_cutoff(n):
@@ -41,73 +116,72 @@ def dealias_cutoff(n):
     return n // 3
 
 
+def _grid_size(s):
+    """Grid size n of a half-spectrum array; LayoutError if it is not one."""
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2] // 2 + 1:
+        raise LayoutError(
+            f"spectral array of shape {s.shape} is not an rfft2 half spectrum "
+            "(..., n, n//2+1)"
+        )
+    return s.shape[-2]
+
+
 def forward(g):
     """Discrete Fourier transform; coeff(0) equals the spatial mean."""
-    n = g.shape[-1]
-    return np.fft.fft2(g) / (n * n)
-
-
-def _hermitian_defect(s):
-    flipped = np.conj(np.roll(s[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1)))
-    return np.max(np.abs(s - flipped))
+    return np.fft.rfft2(g, norm="forward")
 
 
 def is_hermitian(s, tol=HERMITIAN_TOL):
-    scale = max(np.max(np.abs(s)), 1.0)
-    return _hermitian_defect(s) <= tol * scale
+    """Whether the self-conjugate columns hold conjugate pairs, to tol.
+
+    Only the k2 = 0 column and, for even n, the Nyquist column k2 = n/2
+    store both k and -k, so no other mode can break the symmetry and the
+    check costs O(n).  The tolerance is relative to the largest entry of
+    those columns (at least 1).
+    """
+    n = _grid_size(s)
+    cols = s[..., [0, n // 2]] if n % 2 == 0 else s[..., :1]
+    partner = np.conj(np.roll(cols[..., ::-1, :], shift=1, axis=-2))
+    scale = max(np.max(np.abs(cols)), 1.0)
+    return np.max(np.abs(cols - partner)) <= tol * scale
 
 
 def inverse(s, check=True):
     """Inverse transform to a real grid field.
 
-    Raises SymmetryError when the input is not Hermitian-symmetric, since
-    the represented field would not be real.
+    Raises SymmetryError when a self-conjugate column is not Hermitian,
+    since the represented field would not be real.
     """
+    n = _grid_size(s)
     if check and not is_hermitian(s):
         raise SymmetryError("spectral field is not Hermitian-symmetric")
-    n = s.shape[-1]
-    return np.real(np.fft.ifft2(s * (n * n)))
-
-
-def dealias_mask(n):
-    k1, k2 = wavegrid(n)
-    kc = dealias_cutoff(n)
-    return (np.abs(k1) <= kc) & (np.abs(k2) <= kc)
+    return np.fft.irfft2(s, s=(n, n), norm="forward")
 
 
 def dealias(s):
     """Zero modes beyond the square 2/3-rule cutoff (idempotent projection)."""
-    return s * dealias_mask(s.shape[-1])
+    return s * dealias_mask(_grid_size(s))
 
 
 def gradient(s):
-    """Spectral gradient of a scalar field; returns a (2, n, n) vector."""
+    """Spectral gradient of a scalar field; returns a (2, n, n//2+1) vector."""
     if s.ndim != 2:
         raise ArityError("gradient expects a scalar spectral field")
-    k1, k2 = wavegrid(s.shape[-1])
-    return np.stack([1j * k1 * s, 1j * k2 * s])
+    return derivative_multipliers(_grid_size(s)) * s
 
 
 def inverse_laplacian(s):
     """Multiplier -1/|k|^2; the k=0 mode is zeroed (zero-mean convention)."""
-    k1, k2 = wavegrid(s.shape[-1])
-    k2norm = (k1 * k1 + k2 * k2).astype(np.float64)
-    k2norm[0, 0] = 1.0
-    out = -s / k2norm
-    out[..., 0, 0] = 0.0
-    return out
+    return s * _inverse_laplacian_multiplier(_grid_size(s))
 
 
 def calderon_zygmund(s, i, j):
     """Bounded multiplier operator k_i k_j / |k|^2 (zero at k=0)."""
     if s.ndim != 2:
         raise ArityError("calderon_zygmund expects a scalar spectral field")
-    k = wavegrid(s.shape[-1])
-    k2norm = (k[0] * k[0] + k[1] * k[1]).astype(np.float64)
-    k2norm[0, 0] = 1.0
-    out = s * (k[i] * k[j]) / k2norm
-    out[0, 0] = 0.0
-    return out
+    n = _grid_size(s)
+    k = wavegrid(n)
+    return -s * (k[i] * k[j]) * _inverse_laplacian_multiplier(n)
 
 
 def velocity_from_vorticity(omega, mean_tol=1e-13):
@@ -117,28 +191,33 @@ def velocity_from_vorticity(omega, mean_tol=1e-13):
     """
     if omega.ndim != 2:
         raise ArityError("vorticity must be scalar")
-    scale = max(np.max(np.abs(omega)), 1.0)
-    if np.abs(omega[0, 0]) > mean_tol * scale:
+    n = _grid_size(omega)
+    # |mean| > mean_tol * max(max|omega|, 1), without the O(n^2) max when
+    # the mean is already below mean_tol
+    mean = np.abs(omega[0, 0])
+    if mean > mean_tol and mean > mean_tol * np.max(np.abs(omega)):
         raise NonzeroMeanError("mean vorticity must vanish on the torus")
-    psi = inverse_laplacian(omega)
-    k1, k2 = wavegrid(omega.shape[-1])
-    return np.stack([-1j * k2 * psi, 1j * k1 * psi])
+    v = derivative_multipliers(n)[::-1] * inverse_laplacian(omega)
+    v[0] = -v[0]
+    return v
 
 
 def curl(v):
     """z-component of the curl of a spectral vector field."""
-    k1, k2 = wavegrid(v.shape[-1])
-    return 1j * k1 * v[1] - 1j * k2 * v[0]
+    ik1, ik2 = derivative_multipliers(_grid_size(v))
+    return ik1 * v[1] - ik2 * v[0]
 
 
 def divergence(v):
-    k1, k2 = wavegrid(v.shape[-1])
-    return 1j * k1 * v[0] + 1j * k2 * v[1]
+    ik1, ik2 = derivative_multipliers(_grid_size(v))
+    return ik1 * v[0] + ik2 * v[1]
 
 
 def norm_l2(s):
-    """Parseval L2 norm: sqrt(sum_k |coeff|^2), components summed for vectors."""
-    return float(np.sqrt(np.sum(np.abs(s) ** 2)))
+    """Parseval L2 norm: sqrt(sum_k |coeff|^2) over the full lattice,
+    components summed for vectors."""
+    power = s.real * s.real + s.imag * s.imag
+    return float(np.sqrt(np.sum(half_plane_weights(_grid_size(s)) * power)))
 
 
 def grid_norm_l2(g):

@@ -39,6 +39,25 @@ class TestFieldFiles:
         with pytest.raises(ConfigError):
             io.read_field(path)
 
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "t.field"
+        io.write_field(path, np.zeros((16, 16)), 0.0)
+        path.write_bytes(path.read_bytes()[:500])
+        with pytest.raises(ConfigError):
+            io.read_field(path)
+
+    @pytest.mark.parametrize("header", [
+        "EULER2D1 c=1 t=+0.0",
+        "EULER2D1 n=x c=1 t=+0.0",
+        "EULER2D1 n=4 c=1 t=soon",
+        "EULER2D1 n=0 c=1 t=+0.0",
+    ])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "h.field"
+        path.write_bytes(header.ljust(io.HEADER_LEN - 1).encode() + b"\n" + bytes(128))
+        with pytest.raises(ConfigError):
+            io.read_field(path)
+
     def test_bad_rank_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             io.write_field(tmp_path / "x.field", np.zeros(8), 0.0)

@@ -10,16 +10,17 @@ from euler2d.errors import CapacityError, StateError, StepTooLargeError
 
 def _fourier_eval(s, x, y):
     """Direct Fourier-series evaluation of a spectral field at one point."""
-    n = s.shape[-1]
+    n = s.shape[-2]
     k1, k2 = spectral.wavegrid(n)
-    return np.real(np.sum(s * np.exp(1j * (k1 * x + k2 * y))))
+    w = spectral.half_plane_weights(n)
+    return np.real(np.sum(w * s * np.exp(1j * (k1 * x + k2 * y))))
 
 
 class TestBuildStack:
     def test_zero_velocity(self):
         n = 32
-        v = np.zeros((2, n, n), dtype=complex)
-        omega = np.zeros((n, n), dtype=complex)
+        v = np.zeros((2, n, n // 2 + 1), dtype=complex)
+        omega = np.zeros((n, n // 2 + 1), dtype=complex)
         stack = lagrangian.build_stack(v, omega, 6)
         for s in range(1, 7):
             assert np.all(stack.coeffs[s] == 0.0)

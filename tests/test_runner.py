@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from euler2d import cli, diagnostics, eulerian, io, runner, spectral
-from euler2d.errors import ConfigError
+from euler2d.errors import ConfigError, StateError
 
 
 class TestInitialConditions:
@@ -36,12 +36,17 @@ class TestInitialConditions:
                     count += 1
         want = 2.0 * 2.0**3.5 * np.exp(-1.0) / count
         for k1, k2 in ((2, 0), (2, 1), (-2, -2), (1, 2)):
-            assert abs(s[k1 % n, k2 % n]) == pytest.approx(want, rel=1e-13)
+            if k2 < 0:  # stored as its conjugate partner, of equal modulus
+                k1, k2 = -k1, -k2
+            assert abs(s[k1 % n, k2]) == pytest.approx(want, rel=1e-13)
 
     def test_random_flow_is_real(self):
         s = runner.make_random_flow(64, seed=6)
-        g = np.fft.ifft2(s * 64 * 64)
-        assert np.max(np.abs(np.imag(g))) < 1e-13
+        # the half layout leaves only the k2=0 and Nyquist columns free to
+        # break the symmetry; a real grid field transforms back to s
+        assert spectral.is_hermitian(s)
+        back = spectral.forward(spectral.inverse(s))
+        assert np.max(np.abs(back - s)) < 1e-13
 
     def test_random_flow_deterministic(self):
         a = runner.make_random_flow(64, seed=7)
@@ -195,6 +200,45 @@ class TestCli:
             "--output-dir", str(tmp_path / "x"),
         ])  # RK4 without dt
         assert code == 2
+
+    def test_oversized_step_is_halved(self, tmp_path):
+        # at epsilon=10 the order-2 step moves particles past half a period;
+        # the step is halved as for a failed reversion
+        out = tmp_path / "run"
+        code = cli.main([
+            "run", "--method", "CL", "--order", "2", "--epsilon", "10",
+            "--n", "32", "--t-end", "5", "--radius-cadence", "0",
+            "--output-dir", str(out),
+        ])
+        assert code == 0
+        header, rows = io.read_csv(str(out / "steps.csv"))
+        rejections = [row[header.index("rejections")] for row in rows]
+        assert max(rejections) > 0
+
+    def test_step_too_large_exit_code(self, tmp_path, capsys):
+        # a dt of ~1000 stays beyond half a period after MAX_REJECTIONS halvings
+        code = cli.main([
+            "run", "--method", "CL", "--order", "2", "--epsilon", "1e8",
+            "--n", "32", "--t-end", "1000", "--radius-cadence", "0",
+            "--output-dir", str(tmp_path / "run"),
+        ])
+        assert code == 3
+        assert "half a period" in capsys.readouterr().err
+
+    def test_truncated_field_exit_code(self, tmp_path):
+        path = tmp_path / "cut.field"
+        io.write_field(path, np.zeros((16, 16)), 0.0)
+        path.write_bytes(path.read_bytes()[:500])
+        code = cli.main(["spectrum", str(path), "--output-dir", str(tmp_path / "sp")])
+        assert code == 2
+
+    def test_other_solver_error_exit_code(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise StateError("stack is empty")
+
+        monkeypatch.setattr(runner, "run", fail)
+        code = cli.main(["run", "--t-end", "1", "--output-dir", str(tmp_path / "x")])
+        assert code == 5
 
     def test_missing_file_exit_code(self, tmp_path):
         code = cli.main([

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from euler2d import spectral
-from euler2d.errors import ArityError, NonzeroMeanError, SymmetryError
+from euler2d import diagnostics, interpolation, lagrangian, spectral
+from euler2d.errors import ArityError, LayoutError, NonzeroMeanError, SymmetryError
 
 from conftest import random_band_limited
 
@@ -32,21 +32,37 @@ class TestForward:
 
 class TestInverse:
     def test_zero_spectrum(self):
-        assert np.all(spectral.inverse(np.zeros((16, 16), dtype=complex)) == 0.0)
+        assert np.all(spectral.inverse(np.zeros((16, 9), dtype=complex)) == 0.0)
 
     def test_cos_mode(self):
-        s = np.zeros((32, 32), dtype=complex)
+        s = np.zeros((32, 17), dtype=complex)
         s[1, 0] = s[-1, 0] = 0.5
         a, _ = spectral.grid_coordinates(32)
         assert np.max(np.abs(spectral.inverse(s) - np.cos(a))) < 1e-14
 
     def test_non_hermitian_rejected(self):
-        s = np.zeros((16, 16), dtype=complex)
-        s[1, 0] = 1.0  # missing the conjugate partner
+        s = np.zeros((16, 9), dtype=complex)
+        s[1, 0] = 1.0  # missing the conjugate partner s[-1, 0] in the k2=0 column
         with pytest.raises(SymmetryError):
             spectral.inverse(s)
         # the unchecked path is available for internal use
         spectral.inverse(s, check=False)
+
+    def test_nyquist_column_checked(self):
+        s = np.zeros((16, 9), dtype=complex)
+        s[3, 8] = 1.0j  # k2 = n/2 holds its own partner s[-3, 8]
+        with pytest.raises(SymmetryError):
+            spectral.inverse(s)
+        s[-3, 8] = -1.0j
+        spectral.inverse(s)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (2, 16, 16), (16, 8), (16,)])
+    def test_full_layout_rejected(self, shape):
+        s = np.zeros(shape, dtype=complex)
+        for op in (spectral.inverse, spectral.dealias, spectral.norm_l2,
+                   spectral.inverse_laplacian):
+            with pytest.raises(LayoutError):
+                op(s)
 
 
 class TestDealias:
@@ -55,7 +71,7 @@ class TestDealias:
         assert spectral.dealias_cutoff(64) == 21
 
     def test_low_mode_unchanged(self):
-        s = np.zeros((64, 64), dtype=complex)
+        s = np.zeros((64, 33), dtype=complex)
         s[1, 1] = 1.0 + 2.0j
         assert spectral.dealias(s)[1, 1] == 1.0 + 2.0j
 
@@ -92,8 +108,9 @@ class TestGradient:
         # bounded here by the spectral sum of |k|^3 |coeff|
         s = spectral.forward(g)
         k1, k2 = spectral.wavegrid(n)
-        tol_a = h**2 / 6.0 * np.sum(np.abs(k1) ** 3 * np.abs(s))
-        tol_b = h**2 / 6.0 * np.sum(np.abs(k2) ** 3 * np.abs(s))
+        w = spectral.half_plane_weights(n)
+        tol_a = h**2 / 6.0 * np.sum(w * np.abs(k1) ** 3 * np.abs(s))
+        tol_b = h**2 / 6.0 * np.sum(w * np.abs(k2) ** 3 * np.abs(s))
         assert np.max(np.abs(grad[0] - fd_a)) < tol_a
         assert np.max(np.abs(grad[1] - fd_b)) < tol_b
         # and the error really is second order: kmax=8 at n=256 sits in the
@@ -101,7 +118,7 @@ class TestGradient:
         assert np.max(np.abs(grad[0] - fd_a)) > 1e-6
 
     def test_vector_input_rejected(self):
-        v = np.zeros((2, 16, 16), dtype=complex)
+        v = np.zeros((2, 16, 9), dtype=complex)
         with pytest.raises(ArityError):
             spectral.gradient(v)
 
@@ -114,7 +131,7 @@ class TestInverseLaplacian:
         assert np.max(np.abs(out + 0.5 * g)) < 1e-14
 
     def test_zero(self):
-        out = spectral.inverse_laplacian(np.zeros((16, 16), dtype=complex))
+        out = spectral.inverse_laplacian(np.zeros((16, 9), dtype=complex))
         assert np.all(out == 0.0)
 
     def test_laplacian_round_trip(self):
@@ -164,7 +181,7 @@ class TestVelocityFromVorticity:
         assert np.max(np.abs(spectral.curl(v) - omega)) < 1e-13
 
     def test_zero(self):
-        v = spectral.velocity_from_vorticity(np.zeros((16, 16), dtype=complex))
+        v = spectral.velocity_from_vorticity(np.zeros((16, 9), dtype=complex))
         assert np.all(v == 0.0)
 
     def test_divergence_free(self):
@@ -198,3 +215,104 @@ class TestNorms:
         a = spectral.dealias(spectral.gradient(s)[0])
         b = spectral.gradient(spectral.dealias(s))[0]
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+
+class TestFullLatticeOracle:
+    """Every half-spectrum operator against the same computation written on
+    the full fft2 lattice, for random real fields at an even and an odd n."""
+
+    RTOL = 1e-13
+
+    @staticmethod
+    def _full(g):
+        n = g.shape[-1]
+        k = np.fft.fftfreq(n, 1.0 / n)
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        return np.fft.fft2(g) / (n * n), k1, k2
+
+    @staticmethod
+    def _real_inverse(s):
+        n = s.shape[-1]
+        return np.real(np.fft.ifft2(s * (n * n)))
+
+    @staticmethod
+    def _field(n, seed):
+        g = np.random.default_rng(seed).normal(size=(n, n))
+        return g - np.mean(g)
+
+    def _close(self, got, want):
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got - want)) <= self.RTOL * scale
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_transforms(self, n):
+        g = self._field(n, 50 + n)
+        s = spectral.forward(g)
+        full, _, _ = self._full(g)
+        assert s.shape == (n, n // 2 + 1)
+        self._close(s, full[:, : n // 2 + 1])
+        self._close(spectral.inverse(s), g)
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_multipliers(self, n):
+        g = self._field(n, 60 + n)
+        s = spectral.forward(g)
+        full, k1, k2 = self._full(g)
+        kc = n // 3
+        lap = (k1 * k1 + k2 * k2).astype(float)
+        lap[0, 0] = 1.0
+        psi = -full / lap
+        psi[0, 0] = 0.0
+        inv = self._real_inverse
+        self._close(spectral.inverse(spectral.gradient(s)),
+                    np.stack([inv(1j * k1 * full), inv(1j * k2 * full)]))
+        self._close(spectral.inverse(spectral.inverse_laplacian(s)), inv(psi))
+        self._close(spectral.inverse(spectral.velocity_from_vorticity(s)),
+                    np.stack([inv(-1j * k2 * psi), inv(1j * k1 * psi)]))
+        mask = (np.abs(k1) <= kc) & (np.abs(k2) <= kc)
+        self._close(spectral.inverse(spectral.dealias(s)), inv(full * mask))
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_sums(self, n):
+        g = self._field(n, 70 + n)
+        s = spectral.forward(g)
+        full, k1, k2 = self._full(g)
+        assert spectral.norm_l2(s) == pytest.approx(
+            np.sqrt(np.sum(np.abs(full) ** 2)), rel=self.RTOL)
+        v_grid = spectral.inverse(spectral.velocity_from_vorticity(s))
+        v_full = self._full(v_grid)[0]
+        assert diagnostics.energy(s) == pytest.approx(
+            0.5 * np.sum(np.abs(v_full) ** 2), rel=self.RTOL)
+        assert diagnostics.enstrophy(s) == pytest.approx(
+            0.5 * np.sum(np.abs(full) ** 2), rel=self.RTOL)
+        shell = np.floor(np.sqrt(k1 * k1 + k2 * k2)).astype(np.int64)
+        want = np.bincount(shell.ravel(), weights=0.5 * np.abs(full.ravel()) ** 2)
+        self._close(diagnostics.vorticity_spectrum(s).shells, want)
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_slow_fourier_check(self, n):
+        g = self._field(n, 80 + n)
+        full, k1, k2 = self._full(g)
+        if n % 2 == 0:
+            # between grid points a Nyquist mode's value depends on which of
+            # k = +-n/2 stands for it, so the even case compares without them
+            full[n // 2, :] = 0.0
+            full[:, n // 2] = 0.0
+            g = self._real_inverse(full)
+        a, b = spectral.grid_coordinates(n)
+        rng = np.random.default_rng(n)
+        positions = np.stack([a, b]) + rng.uniform(-0.1, 0.1, size=(2, n, n))
+        carried = rng.normal(size=(n, n))
+        state = lagrangian.DistortedState(
+            positions=positions, lagrangian_vorticity=carried,
+            velocity_at_arrival=np.zeros((2, n, n)), dt=0.0,
+        )
+        points = [(0, 0), (3, n - 1), (n // 2, 7), (n - 1, n // 3)]
+        want = max(
+            abs(np.real(np.sum(full * np.exp(
+                1j * (k1 * positions[0][i, j] + k2 * positions[1][i, j]))))
+                - carried[i, j])
+            for i, j in points
+        )
+        got = interpolation.slow_fourier_check(spectral.forward(g), state, points)
+        assert got == pytest.approx(want, rel=self.RTOL)
