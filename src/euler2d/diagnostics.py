@@ -59,7 +59,7 @@ def fit_log_linear(values, window):
         raise InsufficientDataError("fit window shorter than 4 points")
     f = values[s - 1]
     if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
-        raise ValueError("fit window contains non-positive values")
+        raise InsufficientDataError("fit window contains non-positive or non-finite values")
     big_f = np.log(f)
     design = np.column_stack([np.ones_like(s, dtype=float), np.log(s), s])
     (c, a, b), *_ = np.linalg.lstsq(design, big_f, rcond=None)
@@ -157,7 +157,7 @@ def detect_transition(values, decades=3.0, s_min=4):
     fit_end = max(s_at_min, s_min + 3)
     try:
         fit = fit_log_linear(values, (s_min, fit_end))
-    except (InsufficientDataError, ValueError):
+    except InsufficientDataError:
         return None
     s = np.arange(1, len(values) + 1)
     trend = np.log(fit.gamma) + fit.alpha * np.log(s) + fit.beta * s

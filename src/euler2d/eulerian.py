@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import series, spectral
 from .errors import NumericalError
 
 
@@ -107,9 +107,7 @@ def et_coefficients(omega0, order):
 def et_step(state, dt, order):
     """Advance by summing the truncated vorticity Taylor series (Horner)."""
     stack = et_coefficients(state.omega, order)
-    acc = np.array(stack.coeffs[order])
-    for s in range(order - 1, -1, -1):
-        acc = acc * dt + stack.coeffs[s]
+    acc = series.horner(stack.coeffs, dt)
     return EulerianState(_check(spectral.dealias(acc)), state.t + dt)
 
 

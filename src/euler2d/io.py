@@ -2,10 +2,13 @@
 
 Field format: a 64-byte ASCII header "EULER2D1 n=... c=... t=..." padded
 with spaces, followed by raw little-endian float64 data, row-major,
-component-major for vectors.  Round-trips are bit-exact.
+component-major for vectors.  Round-trips are bit-exact.  A field file is
+written whole to "<path>.tmp" and then renamed over the target, so a write
+that fails part way leaves the previous file as it was.
 """
 
 import csv
+import os
 
 import numpy as np
 
@@ -25,9 +28,15 @@ def write_field(path, values, time):
         raise ConfigError(f"unsupported field rank {values.ndim}")
     header = f"{MAGIC} n={n:d} c={comps:d} t={time:+.17e}"
     header = header.ljust(HEADER_LEN - 1) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(values.tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            fh.write(values.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_field(path):

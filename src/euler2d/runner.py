@@ -173,7 +173,7 @@ def radius_probe(omega, depth=40, s_min=10):
     s_max = len(norms) if transition is None else max(transition - 5, s_min + 4)
     try:
         report = diagnostics.fit_log_linear(norms, (s_min, s_max))
-    except (InsufficientDataError, ValueError):
+    except InsufficientDataError:
         return None, norms
     return report, norms
 

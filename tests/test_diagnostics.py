@@ -45,7 +45,7 @@ class TestFitLogLinear:
     def test_non_positive_rejected(self):
         values = np.ones(10)
         values[4] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError):
             diagnostics.fit_log_linear(values, (1, 10))
 
 

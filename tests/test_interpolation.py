@@ -27,7 +27,6 @@ def _state(positions, values):
     return lagrangian.DistortedState(
         positions=np.asarray(positions),
         lagrangian_vorticity=np.asarray(values),
-        velocity_at_arrival=np.zeros_like(positions),
         dt=0.0,
     )
 

@@ -58,6 +58,39 @@ class TestFieldFiles:
         with pytest.raises(ConfigError):
             io.read_field(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.field"
+        io.write_field(path, np.ones((16, 16)), 1.0)
+        before = path.read_bytes()
+
+        class PayloadFails:
+            """File wrapper whose first write (the header) succeeds."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        real_open = open
+        monkeypatch.setattr(io, "open", lambda *a, **k: PayloadFails(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            io.write_field(path, np.zeros((16, 16)), 2.0)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.field"]
+
     def test_bad_rank_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             io.write_field(tmp_path / "x.field", np.zeros(8), 0.0)

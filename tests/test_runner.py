@@ -194,6 +194,13 @@ class TestCli:
         norms_csv = os.path.join(out, "norms_000000.csv")
         assert cli.main(["radius", norms_csv, "--s-min", "8"]) == 0
 
+    def test_radius_non_positive_norm_exit_code(self, tmp_path, capsys):
+        norms_csv = str(tmp_path / "norms.csv")
+        norms = [0.5, 0.25, 0.0, 0.0625, 0.03125, 0.015625]
+        io.write_csv(norms_csv, ["s", "norm"], [[s + 1, f] for s, f in enumerate(norms)])
+        assert cli.main(["radius", norms_csv, "--s-min", "1"]) == 2
+        assert "non-positive" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         code = cli.main([
             "run", "--method", "RK4", "--t-end", "1.0",

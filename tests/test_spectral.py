@@ -304,8 +304,7 @@ class TestFullLatticeOracle:
         positions = np.stack([a, b]) + rng.uniform(-0.1, 0.1, size=(2, n, n))
         carried = rng.normal(size=(n, n))
         state = lagrangian.DistortedState(
-            positions=positions, lagrangian_vorticity=carried,
-            velocity_at_arrival=np.zeros((2, n, n)), dt=0.0,
+            positions=positions, lagrangian_vorticity=carried, dt=0.0,
         )
         points = [(0, 0), (3, n - 1), (n // 2, 7), (n - 1, n // 3)]
         want = max(
