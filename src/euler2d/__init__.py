@@ -1,12 +1,10 @@
 """2D incompressible Euler solver with Lagrangian time-Taylor stepping."""
 
 from . import diagnostics, eulerian, interpolation, lagrangian, runner, spectral
-from .interpolation import KERNEL
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL",
     "diagnostics",
     "eulerian",
     "interpolation",

@@ -1,4 +1,4 @@
-"""Pure-numpy cascade interpolation kernel (fallback for the compiled one).
+"""Cascade interpolation kernel in numpy.
 
 Three stages of 1D 12-point Lagrange interpolation:
   1. along the image of each vertical grid line, interpolate the

@@ -1,30 +1,17 @@
 """Semi-Lagrangian reversion of the vorticity to the uniform grid.
 
-The cascade kernel exists in two interchangeable implementations: a
-compiled extension and a pure-numpy fallback.  The compiled one is used
-when importable unless EULER2D_PURE_PYTHON is set.  Both interpolate with
-12 points per line, 6 on each side of the target.  perfbench/kernels.py
-compares the two.
+The cascade kernel is the numpy one in `_cascade_py`: three sweeps of 1D
+12-point Lagrange interpolation, 6 points on each side of the target.
 """
-
-import os
 
 import numpy as np
 
 from . import _cascade_py, spectral
 from .errors import ReversionError
 
-if os.environ.get("EULER2D_PURE_PYTHON"):
-    _kernel = _cascade_py
-    KERNEL = "python"
-else:
-    try:
-        from . import _cascade_cy as _kernel
-
-        KERNEL = "compiled"
-    except ImportError:
-        _kernel = _cascade_py
-        KERNEL = "python"
+# perfbench/kernels.py records this name with each run, and perfbench/run.py
+# reads the kernel's timing under "<KERNEL>_ms".
+KERNEL = "python"
 
 TWO_PI = 2.0 * np.pi
 
@@ -57,7 +44,7 @@ def cascade_revert(state):
         )
     x, y = state.positions
     try:
-        return _kernel.cascade(
+        return _cascade_py.cascade(
             np.ascontiguousarray(x),
             np.ascontiguousarray(y),
             np.ascontiguousarray(state.lagrangian_vorticity),

@@ -49,12 +49,16 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.initial not in INITIALS:
             raise ConfigError(f"unknown initial condition {self.initial!r}")
+        if self.order < 1:
+            raise ConfigError("order must be at least 1")
         if self.n < 16:
             raise ConfigError("resolution must be at least 16")
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
         if self.t_end < 0.0:
             raise ConfigError("t_end must be nonnegative")
+        if self.dt is not None and self.dt < 0.0:
+            raise ConfigError("dt must be nonnegative")
         if self.method in ("RK2", "RK4", "ET") and self.t_end > 0 and not self.dt:
             raise ConfigError(f"{self.method} requires a fixed dt")
         if self.initial == "file" and not self.initial_path:
@@ -257,18 +261,21 @@ def run(config, output_dir=None):
         writer.spectrum(step, omega, t)
         artifacts.field_times.append(t)
 
-    record_diagnostics(0, omega, 0.0)
-
-    if config.method == "CL":
-        omega, t = _run_cl(config, omega, artifacts, writer, record_diagnostics)
-    else:
-        omega, t = _run_eulerian(config, omega, artifacts, writer, record_diagnostics)
-
-    if artifacts.field_times[-1] != t:
-        record_diagnostics(len(artifacts.steps), omega, t)
-    artifacts.omega = omega
-    artifacts.t = t
-    writer.finish(artifacts)
+    # a failed run still writes the records of the steps it completed
+    try:
+        record_diagnostics(0, omega, 0.0)
+        if config.method == "CL":
+            omega, t = _run_cl(config, omega, artifacts, writer, record_diagnostics)
+        else:
+            omega, t = _run_eulerian(
+                config, omega, artifacts, writer, record_diagnostics
+            )
+        if artifacts.field_times[-1] != t:
+            record_diagnostics(len(artifacts.steps), omega, t)
+        artifacts.omega = omega
+        artifacts.t = t
+    finally:
+        writer.finish(artifacts)
     return artifacts
 
 
@@ -287,9 +294,7 @@ def _run_cl(config, omega, artifacts, writer, record_diagnostics):
         v = spectral.velocity_from_vorticity(omega)
         if config.auto_order:
             amplitude = spectral.norm_l2(v)
-            order, _ = lagrangian.step_order_controller(
-                config.epsilon, r_estimate, amplitude
-            )
+            order = lagrangian.step_order_controller(config.epsilon, amplitude)
         else:
             order = config.order
         stack = lagrangian.build_stack(v, omega, order)
@@ -297,8 +302,7 @@ def _run_cl(config, omega, artifacts, writer, record_diagnostics):
         dt_cap = config.dt if config.dt else np.inf
         if r_estimate is not None:
             dt_cap = min(dt_cap, r_estimate * np.exp(-2.0))
-        plan = lagrangian.choose_step(stack.norm_sequence(), config.epsilon, dt_cap)
-        dt_raw = plan.dt
+        dt_raw = lagrangian.choose_step(stack.norm_sequence(), config.epsilon, dt_cap)
         dt = min(dt_raw, config.t_end - t)
 
         omega_grid = spectral.inverse(omega, check=False)

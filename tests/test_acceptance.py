@@ -7,7 +7,7 @@ fixtures; the whole module takes a few minutes single-threaded.
 import numpy as np
 import pytest
 
-from euler2d import diagnostics, interpolation, io, runner, spectral
+from euler2d import _cascade_py, diagnostics, io, runner, spectral
 
 EPSILON = 1e-12
 
@@ -170,7 +170,7 @@ def test_c10_interpolation_order_property():
         a, b = spectral.grid_coordinates(n)
         x = np.ascontiguousarray(a + amp * np.sin(b))
         y = np.ascontiguousarray(b + amp * np.sin(a))
-        out = interpolation._kernel.cascade(x, y, np.ascontiguousarray(field(x, y)))
+        out = _cascade_py.cascade(x, y, np.ascontiguousarray(field(x, y)))
         errors.append(np.max(np.abs(out - field(a, b))))
     assert errors[0] / errors[1] >= 2.0**11, f"error ratio {errors[0] / errors[1]:.3e}"
     assert errors[1] / errors[2] >= 2.0**11, f"error ratio {errors[1] / errors[2]:.3e}"

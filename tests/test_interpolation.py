@@ -1,18 +1,10 @@
-"""Cascade interpolation kernels and the reversion wrapper."""
+"""The cascade interpolation kernel and the reversion wrapper."""
 
 import numpy as np
 import pytest
 
 from euler2d import _cascade_py, interpolation, lagrangian, runner, spectral
 from euler2d.errors import ReversionError
-
-KERNELS = {"python": _cascade_py}
-try:
-    from euler2d import _cascade_cy
-
-    KERNELS["compiled"] = _cascade_cy
-except ImportError:
-    pass
 
 
 def _deformed(n, amp, field):
@@ -55,19 +47,18 @@ class TestMonotonicity:
         assert info.value.report
 
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
 class TestCascadeKernel:
-    def test_identity_map(self, name):
+    def test_identity_map(self):
         n = 64
         a, b = spectral.grid_coordinates(n)
         rng = np.random.default_rng(21)
         w = rng.normal(size=(n, n))
-        out = KERNELS[name].cascade(
+        out = _cascade_py.cascade(
             np.ascontiguousarray(a), np.ascontiguousarray(b), np.ascontiguousarray(w)
         )
         assert np.max(np.abs(out - w)) <= 1e-14
 
-    def test_rigid_translation(self, name):
+    def test_rigid_translation(self):
         n = 64
         a, b = spectral.grid_coordinates(n)
         h = 2.0 * np.pi / n
@@ -75,18 +66,18 @@ class TestCascadeKernel:
         w = rng.normal(size=(n, n))
         # grid particles moved 3 cells right, 5 cells up; reverting the carried
         # values must reproduce the circular shift of the original field
-        out = KERNELS[name].cascade(
+        out = _cascade_py.cascade(
             np.ascontiguousarray(a + 3 * h), np.ascontiguousarray(b + 5 * h),
             np.ascontiguousarray(w),
         )
         assert np.max(np.abs(out - np.roll(w, (3, 5), axis=(0, 1)))) <= 1e-13
 
-    def test_smooth_deformation(self, name):
+    def test_smooth_deformation(self):
         x, y, w, want = _deformed(128, 0.05, lambda x, y: np.sin(x) * np.cos(y))
-        out = KERNELS[name].cascade(x, y, w)
+        out = _cascade_py.cascade(x, y, w)
         assert np.max(np.abs(out - want)) < 1e-10
 
-    def test_eighth_order_accuracy(self, name):
+    def test_eighth_order_accuracy(self):
         """Halving the deformation (amplitude together with the spacing that
         resolves it) drops the reversion error by at least 2^11: the
         12-point stencil is of order 12, and an 8-point one would fail."""
@@ -94,17 +85,17 @@ class TestCascadeKernel:
         errors = []
         for n, amp in ((64, 0.1), (128, 0.05), (256, 0.025)):
             x, y, w, want = _deformed(n, amp, field)
-            out = KERNELS[name].cascade(x, y, w)
+            out = _cascade_py.cascade(x, y, w)
             errors.append(np.max(np.abs(out - want)))
         assert errors[0] / errors[1] >= 2.0**11
         assert errors[1] / errors[2] >= 2.0**11
 
-    def test_hybrid_monotonicity_failure(self, name):
+    def test_hybrid_monotonicity_failure(self):
         n = 64
         a, b = spectral.grid_coordinates(n)
         x = np.ascontiguousarray(a + 2.0 * np.sin(a))  # folds along rows
         with pytest.raises(ValueError):
-            KERNELS[name].cascade(x, np.ascontiguousarray(b), np.ascontiguousarray(a))
+            _cascade_py.cascade(x, np.ascontiguousarray(b), np.ascontiguousarray(a))
 
 
 def _plain_line(nodes, values, targets, width=12):
@@ -133,15 +124,6 @@ def test_python_kernel_matches_plain_twelve_point():
     assert np.max(np.abs(_cascade_py.cascade(x, y, w) - want)) <= 1e-13
 
 
-def test_kernels_agree():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel not built")
-    x, y, w, _ = _deformed(128, 0.05, lambda x, y: np.sin(3 * x) * np.cos(5 * y))
-    out_py = KERNELS["python"].cascade(x, y, w)
-    out_cy = KERNELS["compiled"].cascade(x, y, w)
-    assert np.max(np.abs(out_py - out_cy)) < 1e-13
-
-
 class TestSlowFourierCheck:
     def test_identity(self):
         n = 64
@@ -166,9 +148,9 @@ class TestSlowFourierCheck:
         omega = runner.make_four_mode(n)
         v = spectral.velocity_from_vorticity(omega)
         stack = lagrangian.build_stack(v, omega, 8)
-        plan = lagrangian.choose_step(stack.norm_sequence(), 1e-12)
+        dt = lagrangian.choose_step(stack.norm_sequence(), 1e-12)
         state = lagrangian.evaluate_displacement(
-            stack, plan.dt, spectral.inverse(omega, check=False)
+            stack, dt, spectral.inverse(omega, check=False)
         )
         reverted = spectral.forward(interpolation.cascade_revert(state))
         rng = np.random.default_rng(23)

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from euler2d import cli, diagnostics, eulerian, io, runner, spectral
-from euler2d.errors import ConfigError, StateError
+from euler2d import cli, diagnostics, eulerian, interpolation, io, runner, spectral
+from euler2d.errors import ConfigError, ReversionError, StateError
 
 
 class TestInitialConditions:
@@ -82,6 +82,10 @@ class TestConfigValidation:
             {"t_end": -1.0},
             {"method": "RK4", "dt": None},
             {"initial": "file"},
+            {"order": 0},
+            {"method": "ET", "order": 0, "dt": 0.05},
+            {"dt": -0.05},
+            {"method": "RK4", "dt": -0.1},
         ],
     )
     def test_rejected(self, kwargs):
@@ -129,6 +133,40 @@ class TestRunLoop:
         assert len(fields) >= 2
         norms = [f for f in os.listdir(out) if f.startswith("norms_")]
         assert norms
+
+    def test_radius_cap_binds(self, monkeypatch):
+        # a reported radius of 0.05 caps every step at 0.05 e^-2, well below
+        # the truncation step of the four-mode flow
+        report = diagnostics.FitReport(
+            alpha=0.0, beta=-np.log(0.05), gamma=1.0, radius=0.05, fit_window=(1, 2)
+        )
+        monkeypatch.setattr(runner, "radius_probe", lambda omega, depth: (report, []))
+        config = runner.RunConfig(method="CL", n=32, t_end=0.03, radius_cadence=1)
+        art = runner.run(config)
+        assert len(art.steps) == 5
+        for rec in art.steps:
+            assert rec["dt_unclipped"] == pytest.approx(0.05 * np.exp(-2.0), rel=1e-14)
+
+    def test_failed_run_keeps_records(self, tmp_path, monkeypatch):
+        # from the 4th call on every reversion fails, so step 4 is rejected
+        # until MAX_REJECTIONS halvings are spent and the run fails
+        calls = []
+        revert = interpolation.cascade_revert
+
+        def failing_revert(state):
+            calls.append(state.dt)
+            if len(calls) >= 4:
+                raise ReversionError("forced failure")
+            return revert(state)
+
+        monkeypatch.setattr(interpolation, "cascade_revert", failing_revert)
+        out = tmp_path / "run"
+        config = runner.RunConfig(method="CL", n=32, t_end=1.0, radius_cadence=0)
+        with pytest.raises(ReversionError):
+            runner.run(config, output_dir=str(out))
+        header, rows = io.read_csv(str(out / "steps.csv"))
+        assert [row[header.index("step")] for row in rows] == [1, 2, 3]
+        assert (out / "conservation.csv").exists()
 
     def test_compare_self_is_zero(self):
         config = runner.RunConfig(method="RK4", dt=0.05, n=64, t_end=0.2,
@@ -206,6 +244,13 @@ class TestCli:
             "run", "--method", "RK4", "--t-end", "1.0",
             "--output-dir", str(tmp_path / "x"),
         ])  # RK4 without dt
+        assert code == 2
+
+    def test_order_zero_exit_code(self, tmp_path):
+        code = cli.main([
+            "run", "--method", "CL", "--order", "0", "--n", "32", "--t-end", "0.1",
+            "--output-dir", str(tmp_path / "x"),
+        ])
         assert code == 2
 
     def test_oversized_step_is_halved(self, tmp_path):
