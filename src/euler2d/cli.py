@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run, compare, radius (offline fit on a norms CSV), spectrum.
-Exit codes: 0 success, 2 configuration or input error, 3 numerical failure
+Exit codes: 0 success, 2 configuration or input error (including a path
+that is missing, taken, of the wrong kind or not permitted), 3 numerical failure
 (including a step that stays too large after the allowed halvings), 4
 reversion failure, 5 any other solver error (every Euler2DError
 subclass ends in one of these codes, never in a traceback).
@@ -99,7 +100,12 @@ def _cmd_compare(args):
 
 def _cmd_radius(args):
     _, rows = io.read_csv(args.norms_csv)
-    norms = np.array([row[1] for row in rows], dtype=float)
+    try:
+        norms = np.array([row[1] for row in rows], dtype=float)
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(
+            f"{args.norms_csv}: norm column missing or not numeric"
+        ) from exc
     s_max = args.s_max or len(norms)
     report = diagnostics.fit_log_linear(norms, (args.s_min, s_max))
     estimators = diagnostics.radius_estimators(norms)
@@ -135,7 +141,10 @@ def main(argv=None):
     }
     try:
         handlers[args.command](args)
-    except (ConfigError, InsufficientDataError, FileNotFoundError) as exc:
+    except (
+        ConfigError, InsufficientDataError, FileNotFoundError, FileExistsError,
+        NotADirectoryError, IsADirectoryError, PermissionError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, StepTooLargeError) as exc:

@@ -81,7 +81,9 @@ def read_csv(path):
     """Return (header, rows) with rows as lists of floats where possible."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty CSV file")
         rows = []
         for row in reader:
             parsed = []

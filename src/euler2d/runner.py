@@ -5,9 +5,18 @@ truncation criterion (norms[S] * dt^S < epsilon, capped by R*e^-2 once a
 radius estimate exists), evaluate the truncated series, check
 monotonicity, revert the vorticity by cascade interpolation, restart from
 the new Eulerian field.  Eulerian methods march with a fixed dt.
+
+``run`` sets glibc's allocator policy for the whole process (see
+``_hold_freed_heap``): blocks under 32 MiB come from the heap, and its free
+top goes back to the kernel only above 64 MiB.  The setting is
+process-global and stays after ``run`` returns.  On a libc without
+``mallopt`` nothing is set; where ``mallopt`` rejects the values (as
+musl's stub does) ``run`` warns with a ``RuntimeWarning``.
 """
 
+import ctypes
 import os
+import warnings
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
@@ -25,6 +34,9 @@ METHODS = ("CL", "RK2", "RK4", "ET")
 INITIALS = ("four_mode", "random", "ab", "file")
 
 MAX_REJECTIONS = 5
+
+# glibc mallopt (M_MMAP_THRESHOLD, 32 MiB) and (M_TRIM_THRESHOLD, 64 MiB)
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
 
 
 @dataclass
@@ -63,6 +75,9 @@ class RunConfig:
             raise ConfigError(f"{self.method} requires a fixed dt")
         if self.initial == "file" and not self.initial_path:
             raise ConfigError("initial=file requires initial_path")
+        for name in ("output_cadence", "radius_cadence", "checkpoint_cadence"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
 
 
 @dataclass
@@ -246,9 +261,37 @@ class _OutputWriter:
             )
 
 
+def _hold_freed_heap():
+    """Keep the step loop's freed temporaries mapped between steps.
+
+    Each step allocates and frees arrays of 0.5-1 MiB (FFT intermediates,
+    velocity and gradient stacks, products).  glibc's dynamic threshold puts
+    them on the heap, then trims any free heap top above ~2 MiB, so every
+    step faults the same pages in again and the kernel zeroes them again.
+    Setting both thresholds turns the dynamic threshold off (setting only
+    one does not stop the faults).  Setting the same values again changes
+    nothing.  Returns whether the policy is in force: False where mallopt
+    does not resolve (not glibc) or rejects a value, which warns once.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    rejected = [param for param, value in _HEAP_POLICY if mallopt(param, value) != 1]
+    if rejected:
+        warnings.warn(f"mallopt rejected params {rejected}", RuntimeWarning)
+    return not rejected
+
+
 def run(config, output_dir=None):
-    """Execute a run and return its artifacts (writing files when asked)."""
+    """Execute a run and return its artifacts (writing files when asked).
+
+    Sets the process-wide allocator policy of ``_hold_freed_heap`` first.
+    """
     config.validate()
+    _hold_freed_heap()
     omega = initial_vorticity(config)
     writer = _OutputWriter(config, output_dir)
     artifacts = RunArtifacts(config=config, omega=omega, t=0.0, output_dir=output_dir)

@@ -1,6 +1,8 @@
 """Initial conditions, the run loop, run comparison, and the CLI."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,11 +88,88 @@ class TestConfigValidation:
             {"method": "ET", "order": 0, "dt": 0.05},
             {"dt": -0.05},
             {"method": "RK4", "dt": -0.1},
+            {"output_cadence": -1},
+            {"radius_cadence": -1},
+            {"checkpoint_cadence": -1},
         ],
     )
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             runner.RunConfig(**kwargs).validate()
+
+    def test_zero_cadences_accepted(self):
+        runner.RunConfig(
+            output_cadence=0, radius_cadence=0, checkpoint_cadence=0
+        ).validate()
+
+
+# Run in a fresh interpreter, so that neither an earlier test's call of the
+# helper nor the heap state earlier tests leave behind decides the count.
+# The helper's own result, asked for after the count, says whether the
+# policy can hold on this libc at all.
+_FAULTS_PER_STEP = """
+import resource
+from euler2d import eulerian, runner
+runner.run(runner.RunConfig(method="RK4", n=16, dt=0.1, t_end=0.0))
+state = eulerian.EulerianState(runner.make_four_mode(256), 0.0)
+for _ in range(3):
+    state = eulerian.rk4_step(state, 0.01)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    state = eulerian.rk4_step(state, 0.01)
+faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
+print(faults, runner._hold_freed_heap())
+"""
+
+
+class _FakeLibc:
+    """Stands in for ctypes.CDLL(None) and records each mallopt call."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+class TestHeapPolicy:
+    def test_step_loop_does_not_fault(self):
+        # without the policy glibc trims the freed FFT and product arrays
+        # back to the kernel after every step: ~2800 faults per RK4 step at
+        # n=256, against none with it
+        src = os.path.dirname(os.path.dirname(runner.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_STEP],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        faults, held = out.stdout.split()
+        if held != "True":
+            pytest.skip("mallopt does not hold the policy on this libc")
+        assert float(faults) < 100
+
+    def test_repeat_sets_the_same_values(self, monkeypatch):
+        libc = _FakeLibc()
+        monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: libc)
+        assert runner._hold_freed_heap()
+        assert runner._hold_freed_heap()
+        policy = [(-3, 32 << 20), (-1, 64 << 20)]
+        assert libc.calls == policy + policy
+
+    def test_failed_mallopt_warns(self, monkeypatch):
+        monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: _FakeLibc(result=0))
+        with pytest.warns(RuntimeWarning, match="mallopt") as record:
+            assert not runner._hold_freed_heap()
+        assert len(record) == 1
+
+    def test_without_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
+        assert not runner._hold_freed_heap()
+        art = runner.run(runner.RunConfig(method="RK4", n=16, dt=0.1, t_end=0.2))
+        assert len(art.steps) == 2
 
 
 class TestRunLoop:
@@ -245,6 +324,42 @@ class TestCli:
             "--output-dir", str(tmp_path / "x"),
         ])  # RK4 without dt
         assert code == 2
+
+    def test_negative_cadence_exit_code(self, tmp_path):
+        code = cli.main([
+            "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
+            "--output-cadence", "-1", "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_output_dir_is_a_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code = cli.main([
+            "run", "--method", "RK4", "--dt", "0.1", "--n", "16", "--t-end", "0.1",
+            "--output-dir", str(path),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_compare_files_exit_code(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("")
+        code = cli.main([
+            "compare", str(path), str(path), "--output-dir", str(tmp_path / "cmp"),
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "text", ["s,norm\n1,0.5\n2,abc\n", "s\n1\n2\n", ""],
+        ids=["not_numeric", "missing_column", "empty"],
+    )
+    def test_radius_bad_csv_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert cli.main(["radius", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_order_zero_exit_code(self, tmp_path):
         code = cli.main([
