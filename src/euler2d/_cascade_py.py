@@ -8,12 +8,13 @@ Three stages of 1D 12-point Lagrange interpolation:
      points back to the uniform abscissae a_i.
 
 Stencils take 6 nodes on each side of the target and wrap periodically
-(node + period on index wrap).  Barycentric evaluation with an exact-node
-shortcut makes the identity map reproduce inputs to rounding.
+(node + period on index wrap).  Barycentric evaluation (Berrut & Trefethen
+2004) with an exact-node shortcut makes the identity map reproduce inputs.
 
-Each numpy call treats LINES lines at once.  The barycentric weights are
-formed once per node and stencil position from running products of node
-differences, so a target costs O(STENCIL) work instead of O(STENCIL^2).
+Each numpy call treats LINES lines at once, laid end to end.  Running
+products of node differences give each node's barycentric denominator in
+every stencil position; the stencil sum gathers node, denominator and values
+at start + k, k = 0..11, and accumulates in place in per-target arrays.
 """
 
 import numpy as np
@@ -21,29 +22,27 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 STENCIL = 12
 HALF = STENCIL // 2
-LINES = 8
+LINES = 64
 
 
-def _barycentric_weights(nodes):
-    """Weights of every node in every stencil position it can take.
+def _barycentric_denominators(nodes):
+    """Inverse barycentric weights of every node in every stencil position.
 
-    nodes: (m, p) lines of consecutive nodes.  Returns w of shape
-    (STENCIL, m, p) with w[k, i, q] = 1 / prod_{l != k} (nodes[i, q] -
-    nodes[i, q - k + l]): the weight of node q as the k-th node of the
-    stencil starting at q - k.  Entries whose stencil leaves the line are
-    not meaningful.
+    nodes: (p,) nodes of one line or of lines laid end to end.  Returns
+    d[k, q] = prod_{l != k} (nodes[q] - nodes[q - k + l]), shape (STENCIL, p):
+    the inverse weight of node q as the k-th node of the stencil starting at
+    q - k.  Entries whose stencil leaves the line are not meaningful.
     """
-    m, p = nodes.shape
-    left = np.ones((STENCIL, m, p))
-    right = np.ones((STENCIL, m, p))
-    for d in range(1, STENCIL):
-        step = nodes[:, d:] - nodes[:, :-d]
-        left[d, :, d:] = step
-        right[d, :, :-d] = -step
-    np.cumprod(left, axis=0, out=left)
-    np.cumprod(right, axis=0, out=right)
-    left *= right[::-1]
-    return np.divide(1.0, left, out=left)
+    den = np.empty((STENCIL, nodes.size))
+    den[0] = 1.0
+    for d in range(1, STENCIL):  # the factors l < k; unused entries stay finite
+        den[d, :d] = 1.0
+        np.multiply(den[d - 1, d:], nodes[d:] - nodes[:-d], out=den[d, d:])
+    right = np.ones(nodes.size)
+    for d in range(1, STENCIL):  # times the factors l > k
+        right[:-d] *= nodes[:-d] - nodes[d:]
+        den[STENCIL - 1 - d] *= right
+    return den
 
 
 def _interp_periodic_lines(nodes, value_rows, targets, period=TWO_PI):
@@ -55,40 +54,42 @@ def _interp_periodic_lines(nodes, value_rows, targets, period=TWO_PI):
     shared by all lines; each is reduced mod period into the line's node
     range.  Returns (r, m, t).
     """
-    m, n = nodes.shape
-    r = value_rows.shape[0]
-    # lines extended by HALF nodes on each side; channel 1 receives weights
+    r, m, n = value_rows.shape
+    # lines extended by HALF nodes on each side, then flattened
     wrap, base = np.divmod(np.arange(-HALF, n + HALF), n)
-    ext = np.empty((2 + r, m, n + STENCIL))
-    ext[0] = nodes[:, base] + period * wrap
-    ext[2:] = value_rows[:, :, base]
-    weights = _barycentric_weights(ext[0])
-    # table[k, :, i, e]: node, weight and values of the k-th node of the
-    # stencil that starts at extended index e
-    table = np.empty((STENCIL, 2 + r, m, n + 1))
-    for k in range(STENCIL):
-        window = slice(k, k + n + 1)
-        table[k] = ext[:, :, window]
-        table[k, 1] = weights[k, :, window]
-
+    ext = (nodes[:, base] + period * wrap).ravel()
+    den = _barycentric_denominators(ext)
+    vals = value_rows[:, :, base].reshape(r, -1)
     t = nodes[:, :1] + np.mod(targets - nodes[:, :1], period)
     # the stencil of a target in [nodes[n0-1], nodes[n0]) starts at
     # extended index n0, i.e. HALF nodes before the bracket
     n0 = np.stack([np.searchsorted(line, tl, side="right") for line, tl in zip(nodes, t)])
-    starts = (n0 + np.arange(m)[:, None] * (n + 1)).ravel()
-    st = table.reshape(STENCIL, 2 + r, -1).take(starts, axis=-1)
-    diff = t.ravel() - st[:, 0]
-    exact = diff == 0.0
-    vals = st[:, 2:]
-    if exact.any():
-        ratio = st[:, 1] / np.where(exact, 1.0, diff)
-        interp = np.einsum("kj,krj->rj", ratio, vals) / ratio.sum(axis=0)
-        exact_vals = np.sum(np.where(exact[:, None], vals, 0.0), axis=0)
-        interp = np.where(exact.any(axis=0), exact_vals, interp)
-    else:
-        ratio = st[:, 1] / diff
-        interp = np.einsum("kj,krj->rj", ratio, vals) / ratio.sum(axis=0)
-    return interp.reshape(r, m, -1)
+    at = (n0 + np.arange(m)[:, None] * (n + STENCIL)).ravel()
+    t = t.ravel()
+    num = np.zeros((r, t.size))
+    total, diff, ratio, v = np.zeros((4, t.size))
+    # a target on a node divides by zero and its total turns non-finite.
+    # Indices are in range: "clip" only spares take a copy of out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(STENCIL):
+            ext.take(at, out=diff, mode="clip")
+            np.subtract(t, diff, out=diff)
+            den[k].take(at, out=ratio, mode="clip")
+            ratio *= diff
+            np.divide(1.0, ratio, out=ratio)
+            total += ratio
+            for c in range(r):
+                vals[c].take(at, out=v, mode="clip")
+                v *= ratio
+                num[c] += v
+            at += 1
+        num /= total
+    at -= STENCIL
+    hits = np.flatnonzero(~np.isfinite(total))
+    for k in range(STENCIL if hits.size else 0):  # hits take their node's value
+        on = hits[ext[at[hits] + k] == t[hits]]
+        num[:, on] = vals[:, at[on] + k]
+    return num.reshape(r, m, -1)
 
 
 def cascade(x, y, w):
@@ -101,8 +102,7 @@ def cascade(x, y, w):
     """
     n = x.shape[0]
     b = TWO_PI * np.arange(n) / n
-    x_hybrid = np.empty((n, n))
-    w_hybrid = np.empty((n, n))
+    x_hybrid, w_hybrid = np.empty((2, n, n))
     for i in range(0, n, LINES):
         s = slice(i, i + LINES)
         x_hybrid[s], w_hybrid[s] = _interp_periodic_lines(y[s], np.stack([x[s], w[s]]), b)

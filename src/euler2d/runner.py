@@ -65,12 +65,13 @@ class RunConfig:
             raise ConfigError("order must be at least 1")
         if self.n < 16:
             raise ConfigError("resolution must be at least 16")
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
-        if self.t_end < 0.0:
-            raise ConfigError("t_end must be nonnegative")
-        if self.dt is not None and self.dt < 0.0:
-            raise ConfigError("dt must be nonnegative")
+        # chained comparisons are False for NaN as well
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError("epsilon must be positive and finite")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ConfigError("t_end must be nonnegative and finite")
+        if self.dt is not None and not 0.0 <= self.dt < np.inf:
+            raise ConfigError("dt must be nonnegative and finite")
         if self.method in ("RK2", "RK4", "ET") and self.t_end > 0 and not self.dt:
             raise ConfigError(f"{self.method} requires a fixed dt")
         if self.initial == "file" and not self.initial_path:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from euler2d import _cascade_py, interpolation, lagrangian, runner, spectral
-from euler2d.errors import ReversionError
+from euler2d.errors import NumericalError, ReversionError
 
 
 def _deformed(n, amp, field):
@@ -122,6 +122,52 @@ def test_python_kernel_matches_plain_twelve_point():
     w_hybrid = np.array([_plain_line(y[i], w[i], b) for i in range(n)])
     want = np.array([_plain_line(x_hybrid[:, j], w_hybrid[:, j], b) for j in range(n)]).T
     assert np.max(np.abs(_cascade_py.cascade(x, y, w) - want)) <= 1e-13
+
+
+def test_exact_and_inexact_hits_in_one_call():
+    """Lines whose nodes are the targets return their values bit for bit,
+    while lines shifted by 0.3 cells in the same call match the plain
+    twelve-point formula."""
+    n, m = 48, 8
+    b = 2.0 * np.pi * np.arange(n) / n
+    nodes = np.array([b] * (m // 2) + [b + 0.3 * (b[1] - b[0])] * (m // 2))
+    values = np.random.default_rng(24).normal(size=(2, m, n))
+    out = _cascade_py._interp_periodic_lines(nodes, values, b)
+    assert np.max(np.abs(out[:, : m // 2] - values[:, : m // 2])) == 0.0
+    want = [[_plain_line(nodes[i], values[c, i], b) for i in range(m // 2, m)] for c in (0, 1)]
+    assert np.max(np.abs(out[:, m // 2 :] - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.1])
+def test_nan_vorticity_stays_non_finite(amp):
+    """The exact-node fallback must not hide a NaN in the carried field,
+    on the identity map (all targets hit nodes) or off it."""
+    x, y, w, _ = _deformed(32, amp, lambda x, y: np.sin(x) * np.cos(y))
+    w[5, 7] = np.nan
+    assert not np.all(np.isfinite(_cascade_py.cascade(x, y, w)))
+
+
+def test_nan_vorticity_fails_the_run(monkeypatch, tmp_path):
+    evaluate = lagrangian.evaluate_displacement
+
+    def poisoned(*args):
+        state = evaluate(*args)
+        state.lagrangian_vorticity[3, 4] = np.nan
+        return state
+
+    monkeypatch.setattr(lagrangian, "evaluate_displacement", poisoned)
+    config = runner.RunConfig(method="CL", n=32, t_end=0.05, radius_cadence=0)
+    with pytest.raises(NumericalError):
+        runner.run(config, output_dir=str(tmp_path / "run"))
+
+
+def test_chunk_size_does_not_change_the_result(monkeypatch):
+    n = 96  # not a multiple of the default LINES: the last chunk is short
+    x, y, w, _ = _deformed(n, 0.1, lambda x, y: np.sin(3 * x) * np.cos(5 * y))
+    want = _cascade_py.cascade(x, y, w)
+    for lines in (1, 8, n):
+        monkeypatch.setattr(_cascade_py, "LINES", lines)
+        assert np.array_equal(_cascade_py.cascade(x, y, w), want)
 
 
 class TestSlowFourierCheck:

@@ -91,6 +91,12 @@ class TestConfigValidation:
             {"output_cadence": -1},
             {"radius_cadence": -1},
             {"checkpoint_cadence": -1},
+            {"t_end": float("nan")},
+            {"method": "RK4", "t_end": float("inf"), "dt": 0.01},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
+            {"method": "RK4", "dt": float("nan")},
+            {"dt": float("inf")},
         ],
     )
     def test_rejected(self, kwargs):
@@ -330,6 +336,20 @@ class TestCli:
             "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
             "--output-cadence", "-1", "--output-dir", str(tmp_path / "x"),
         ])
+        assert code == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "CL", "--t-end", "nan"],
+            ["--method", "RK4", "--t-end", "inf", "--dt", "0.01"],
+            ["--method", "CL", "--t-end", "0.1", "--epsilon", "nan"],
+            ["--method", "RK4", "--t-end", "0.1", "--dt", "nan"],
+        ],
+    )
+    def test_non_finite_setting_exit_code(self, tmp_path, args):
+        code = cli.main(["run", "--n", "32", *args, "--output-dir", str(tmp_path / "x")])
         assert code == 2
         assert not (tmp_path / "x").exists()
 
