@@ -33,10 +33,6 @@ class NumericalError(Euler2DError):
         self.order = order
 
 
-class CapacityError(Euler2DError):
-    """Requested Taylor order exceeds the configured maximum."""
-
-
 class StateError(Euler2DError):
     """Operation invoked on an incompletely populated object."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series, spectral
-from .errors import CapacityError, NumericalError, StateError, StepTooLargeError
+from .errors import NumericalError, StateError, StepTooLargeError
 
 
 @dataclass
@@ -35,8 +35,9 @@ class TaylorStack:
     """Displacement Taylor coefficients xi^(1)..xi^(S) for one step.
 
     coeffs[s] is the spectral vector field of xi^(s) (1-based dict-like list:
-    index 0 is unused).  grad_grids[s][k][j] caches d_j xi_k^(s) on the grid;
-    the recurrence consumes only these gradients.
+    index 0 is unused), or None in a stack built with keep_coeffs=False.
+    grad_grids[s][k][j] caches d_j xi_k^(s) on the grid; the recurrence
+    consumes only these gradients.
     """
 
     n: int
@@ -48,11 +49,11 @@ class TaylorStack:
     def order(self):
         return len(self.coeffs) - 1
 
-    def append(self, xi_spec):
+    def append(self, xi_spec, keep_coeffs=True):
         grads = np.stack(
             [spectral.inverse(spectral.gradient(xi_spec[k]), check=False) for k in (0, 1)]
         )
-        self.coeffs.append(xi_spec)
+        self.coeffs.append(xi_spec if keep_coeffs else None)
         self.grad_grids.append(grads)
         self.norms.append(spectral.norm_l2(xi_spec))
 
@@ -74,10 +75,8 @@ class DistortedState:
     dt: float
 
 
-def next_coefficient(stack, omega_init, s, max_order=None):
+def next_coefficient(stack, omega_init, s):
     """Compute xi^(s) from coefficients 1..s-1 and the initial vorticity."""
-    if max_order is not None and s > max_order:
-        raise CapacityError(f"order {s} exceeds configured maximum {max_order}")
     if s != len(stack.coeffs):
         raise StateError(f"coefficients 1..{s - 1} must be present to build order {s}")
     n = stack.n
@@ -122,20 +121,23 @@ def _recurrence_sources(grads, s, n):
     return curl_src, div_src
 
 
-def build_stack(v_init, omega_init, order, max_order=None):
+def build_stack(v_init, omega_init, order, keep_coeffs=True):
     """Populate a TaylorStack to the requested order.
 
     xi^(1) is taken directly as the initial velocity; higher coefficients
     come from the recurrence.  NaN in any coefficient aborts with the order.
+    With keep_coeffs=False each xi^(s) is dropped once its norm and
+    gradients are taken, for a caller that reads only the norms: the
+    recurrence reads the gradients alone, so the norms do not change.
     """
     n = v_init.shape[-2]
     stack = TaylorStack(n=n)
-    stack.append(np.array(v_init))
+    stack.append(np.array(v_init), keep_coeffs)
     for s in range(2, order + 1):
-        xi = next_coefficient(stack, omega_init, s, max_order=max_order)
+        xi = next_coefficient(stack, omega_init, s)
         if not np.all(np.isfinite(xi.view(np.float64))):
             raise NumericalError(f"non-finite Taylor coefficient at order {s}", order=s)
-        stack.append(xi)
+        stack.append(xi, keep_coeffs)
     return stack
 
 

@@ -6,6 +6,11 @@ radius estimate exists), evaluate the truncated series, check
 monotonicity, revert the vorticity by cascade interpolation, restart from
 the new Eulerian field.  Eulerian methods march with a fixed dt.
 
+A step's Taylor stack, distorted state and reverted grid are locals of
+``_cl_step``, so they are freed when the step returns, before the next step
+(or radius probe) builds its stack.  The radius probe keeps only the norms
+of its deep stack, not its coefficients.
+
 ``run`` sets glibc's allocator policy for the whole process (see
 ``_hold_freed_heap``): blocks under 32 MiB come from the heap, and its free
 top goes back to the kernel only above 64 MiB.  The setting is
@@ -187,8 +192,7 @@ def radius_probe(omega, depth=40, s_min=10):
     """Fit the L2-norm series of a deep displacement stack; returns
     (FitReport or None, norm sequence)."""
     v = spectral.velocity_from_vorticity(omega)
-    stack = lagrangian.build_stack(v, omega, depth)
-    norms = stack.norm_sequence()
+    norms = lagrangian.build_stack(v, omega, depth, keep_coeffs=False).norm_sequence()
     transition = diagnostics.detect_transition(norms)
     s_max = len(norms) if transition is None else max(transition - 5, s_min + 4)
     try:
@@ -335,58 +339,68 @@ def _run_cl(config, omega, artifacts, writer, record_diagnostics):
                 r_estimate = report.radius
                 artifacts.radius_series.append((step, t, report.radius))
 
-        v = spectral.velocity_from_vorticity(omega)
-        if config.auto_order:
-            amplitude = spectral.norm_l2(v)
-            order = lagrangian.step_order_controller(config.epsilon, amplitude)
-        else:
-            order = config.order
-        stack = lagrangian.build_stack(v, omega, order)
-
-        dt_cap = config.dt if config.dt else np.inf
-        if r_estimate is not None:
-            dt_cap = min(dt_cap, r_estimate * np.exp(-2.0))
-        dt_raw = lagrangian.choose_step(stack.norm_sequence(), config.epsilon, dt_cap)
-        dt = min(dt_raw, config.t_end - t)
-
-        omega_grid = spectral.inverse(omega, check=False)
-        rejections = 0
-        while True:
-            try:
-                state = lagrangian.evaluate_displacement(stack, dt, omega_grid)
-                reverted = interpolation.cascade_revert(state)
-                break
-            except (StepTooLargeError, ReversionError):
-                rejections += 1
-                if rejections > MAX_REJECTIONS:
-                    raise
-                dt *= 0.5
-
-        jac = lagrangian.jacobian_determinant(stack, dt)
-        new_omega = spectral.dealias(spectral.forward(reverted))
-        new_omega[0, 0] = 0.0
-        if not np.all(np.isfinite(new_omega.view(np.float64))):
-            raise NumericalError(f"non-finite vorticity after step {step + 1}")
-        omega = new_omega
+        omega, dt, record = _cl_step(config, omega, step, t, r_estimate)
         t += dt
         step += 1
-        artifacts.steps.append(
-            {
-                "step": step,
-                "t": t,
-                "dt": dt,
-                "dt_unclipped": dt_raw,
-                "order": order,
-                "truncation_term": stack.norms[order] * dt**order,
-                "jacobian_min": float(np.min(jac)),
-                "rejections": rejections,
-            }
-        )
+        artifacts.steps.append(record)
         if config.output_cadence and step % config.output_cadence == 0:
             record_diagnostics(step, omega, t)
         if config.checkpoint_cadence and step % config.checkpoint_cadence == 0:
             writer.checkpoint(omega, t)
     return omega, t
+
+
+def _cl_step(config, omega, step, t, r_estimate):
+    """Lagrangian step number step + 1 from (omega, t).
+
+    Returns the new spectral vorticity, the dt taken and the step record.
+    """
+    v = spectral.velocity_from_vorticity(omega)
+    if config.auto_order:
+        amplitude = spectral.norm_l2(v)
+        order = lagrangian.step_order_controller(config.epsilon, amplitude)
+    else:
+        order = config.order
+    stack = lagrangian.build_stack(v, omega, order)
+
+    norms = stack.norm_sequence()
+    dt_cap = config.dt if config.dt else np.inf
+    if r_estimate is not None:
+        dt_cap = min(dt_cap, r_estimate * np.exp(-2.0))
+    if norms[-1] == 0.0:
+        # a zero top norm (rest state) puts no bound on dt: t_end does
+        dt_cap = min(dt_cap, config.t_end - t)
+    dt_raw = lagrangian.choose_step(norms, config.epsilon, dt_cap)
+    dt = min(dt_raw, config.t_end - t)
+
+    omega_grid = spectral.inverse(omega, check=False)
+    rejections = 0
+    while True:
+        try:
+            state = lagrangian.evaluate_displacement(stack, dt, omega_grid)
+            reverted = interpolation.cascade_revert(state)
+            break
+        except (StepTooLargeError, ReversionError):
+            rejections += 1
+            if rejections > MAX_REJECTIONS:
+                raise
+            dt *= 0.5
+
+    jac = lagrangian.jacobian_determinant(stack, dt)
+    new_omega = spectral.dealias(spectral.forward(reverted))
+    new_omega[0, 0] = 0.0
+    if not np.all(np.isfinite(new_omega.view(np.float64))):
+        raise NumericalError(f"non-finite vorticity after step {step + 1}")
+    return new_omega, dt, {
+        "step": step + 1,
+        "t": t + dt,
+        "dt": dt,
+        "dt_unclipped": dt_raw,
+        "order": order,
+        "truncation_term": stack.norms[order] * dt**order,
+        "jacobian_min": float(np.min(jac)),
+        "rejections": rejections,
+    }
 
 
 def _run_eulerian(config, omega, artifacts, writer, record_diagnostics):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from euler2d import eulerian, lagrangian, runner, spectral
-from euler2d.errors import CapacityError, StateError, StepTooLargeError
+from euler2d.errors import StateError, StepTooLargeError
 
 
 def _fourier_eval(s, x, y):
@@ -39,12 +39,15 @@ class TestBuildStack:
         with pytest.raises(StateError):
             lagrangian.next_coefficient(stack, omega, 6)
 
-    def test_capacity_limit(self):
+    def test_norms_only_stack_matches_full_stack(self):
         omega = runner.make_four_mode(64)
         v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 3)
-        with pytest.raises(CapacityError):
-            lagrangian.next_coefficient(stack, omega, 4, max_order=3)
+        full = lagrangian.build_stack(v, omega, 40).norm_sequence()
+        lean = lagrangian.build_stack(v, omega, 40, keep_coeffs=False)
+        assert all(c is None for c in lean.coeffs)
+        np.testing.assert_array_equal(lean.norm_sequence(), full)
+        _, probe_norms = runner.radius_probe(omega, 40)
+        np.testing.assert_array_equal(probe_norms, full)
 
     def test_steady_flow_norms_decay(self):
         omega = runner.make_ab_flow(64)

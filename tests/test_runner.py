@@ -3,11 +3,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from euler2d import cli, diagnostics, eulerian, interpolation, io, runner, spectral
+from euler2d import (
+    cli, diagnostics, eulerian, interpolation, io, lagrangian, runner, spectral,
+)
 from euler2d.errors import ConfigError, ReversionError, StateError
 
 
@@ -253,6 +257,28 @@ class TestRunLoop:
         assert [row[header.index("step")] for row in rows] == [1, 2, 3]
         assert (out / "conservation.csv").exists()
 
+    def test_one_taylor_stack_alive_at_a_time(self, monkeypatch):
+        # at every build, the stacks of earlier steps and probes are gone
+        built = []
+        alive_at_entry = []
+        build = lagrangian.build_stack
+
+        def tracked(*args, **kwargs):
+            alive_at_entry.append(sum(ref() is not None for ref in built))
+            stack = build(*args, **kwargs)
+            built.append(weakref.ref(stack))
+            return stack
+
+        monkeypatch.setattr(lagrangian, "build_stack", tracked)
+        config = runner.RunConfig(
+            method="CL", order=8, n=64, t_end=0.25, radius_cadence=2, radius_depth=20
+        )
+        art = runner.run(config)
+        probes = len(range(0, len(art.steps), 2))
+        assert len(art.steps) >= 4
+        assert len(built) == len(art.steps) + probes
+        assert alive_at_entry == [0] * len(built)
+
     def test_compare_self_is_zero(self):
         config = runner.RunConfig(method="RK4", dt=0.05, n=64, t_end=0.2,
                                   output_cadence=2)
@@ -427,6 +453,23 @@ class TestCli:
         code = cli.main(["run", "--t-end", "1", "--output-dir", str(tmp_path / "x")])
         assert code == 5
 
+    @pytest.mark.parametrize("cadence", [[], ["--radius-cadence", "0"]])
+    def test_rest_state_run(self, tmp_path, cadence):
+        # zero norms put no bound on dt: the run takes one step to t_end
+        zero = str(tmp_path / "zero.field")
+        io.write_field(zero, np.zeros((32, 32)), 0.0)
+        out = tmp_path / "run"
+        code = cli.main([
+            "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
+            "--initial", "file", "--initial-file", zero, "--output-dir", str(out),
+        ] + cadence)
+        assert code == 0
+        header, rows = io.read_csv(str(out / "steps.csv"))
+        assert [row[header.index("t")] for row in rows] == [pytest.approx(0.1)]
+        values, t = io.read_field(str(out / "fields" / "omega_000001.field"))
+        assert t == pytest.approx(0.1)
+        assert np.all(values == 0.0)
+
     def test_missing_file_exit_code(self, tmp_path):
         code = cli.main([
             "spectrum", str(tmp_path / "nope.field"),
@@ -440,3 +483,16 @@ def test_radius_probe_reports_fit():
     assert report is not None
     assert len(norms) == 30
     assert 0.8 < report.radius < 1.6
+
+
+def test_radius_probe_keeps_only_norms():
+    # the depth-40 probe holds its gradient grids, not its coefficients
+    omega = runner.make_four_mode(64)
+    runner.radius_probe(omega, 13)  # fill the transform caches first
+    tracemalloc.start()
+    try:
+        runner.radius_probe(omega, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (40 * 2 * 2 * 64 * 64 * 8)
