@@ -185,25 +185,3 @@ def coefficient_norm_probe(omega, s_max_lagrangian, s_max_eulerian, decades=3.0)
         "lagrangian_transition": detect_transition(lag, decades=decades),
         "eulerian_transition": detect_transition(et, decades=decades),
     }
-
-
-def pointwise_hadamard_minimum(stack, dt_grid_stride=8):
-    """Grid-sampled finite-order Cauchy-Hadamard radius estimate, minimised.
-
-    Consistency probe for the L2-series radius: on a coarse subsample of
-    grid points, 1/R(a) is estimated as max over the tail of
-    |xi^(s)(a)|^(1/s); the minimum over the sample is returned.
-    """
-    n = stack.n
-    sel = slice(0, n, dt_grid_stride)
-    mags = []
-    for s in range(1, stack.order + 1):
-        g = spectral.inverse(stack.coeffs[s], check=False)
-        mags.append(np.sqrt(g[0][sel, sel] ** 2 + g[1][sel, sel] ** 2))
-    mags = np.asarray(mags)
-    orders = np.arange(1, stack.order + 1)
-    tail = orders >= max(2, stack.order // 2)
-    with np.errstate(divide="ignore"):
-        roots = mags[tail] ** (1.0 / orders[tail][:, None, None])
-    inv_r = np.max(roots, axis=0)
-    return float(1.0 / np.max(inv_r))

@@ -192,7 +192,7 @@ def step_order_controller(epsilon, amplitude):
     """Pick the truncation order from epsilon and the velocity amplitude A.
 
     The order sits in the bracket [-(1/2) ln(eps/A), -ln(eps/A)].  The dt cap
-    R*e^-2 that goes with it is applied in runner._run_cl.
+    R*e^-2 that goes with it is applied in runner._cl_step.
     """
     a = max(amplitude, epsilon)
     lo = -np.log(epsilon / a) / 2.0

@@ -4,7 +4,9 @@ One Lagrangian step: build the displacement Taylor stack, pick dt from the
 truncation criterion (norms[S] * dt^S < epsilon, capped by R*e^-2 once a
 radius estimate exists), evaluate the truncated series, check
 monotonicity, revert the vorticity by cascade interpolation, restart from
-the new Eulerian field.  Eulerian methods march with a fixed dt.
+the new Eulerian field.  Eulerian methods march with a fixed dt.  One
+loop, ``_march``, drives every method; ``_run_cl`` and ``_run_eulerian``
+only supply its per-step ``advance``.
 
 A step's Taylor stack, distorted state and reverted grid are locals of
 ``_cl_step``, so they are freed when the step returns, before the next step
@@ -118,18 +120,6 @@ def make_ab_flow(n):
     return s
 
 
-def shell_members(n, shell):
-    """Lattice wavevectors with shell <= |k| < shell+1 inside the dealias square."""
-    kc = spectral.dealias_cutoff(n)
-    members = []
-    for k1 in range(-kc, kc + 1):
-        for k2 in range(-kc, kc + 1):
-            r = np.hypot(k1, k2)
-            if shell <= r < shell + 1 and (k1, k2) != (0, 0):
-                members.append((k1, k2))
-    return members
-
-
 def make_random_flow(n, seed, modulus_floor=1e-18):
     """Shell-prescribed moduli 2 K^(7/2) e^(-K^2/4) / N(K), random phases.
 
@@ -143,9 +133,10 @@ def make_random_flow(n, seed, modulus_floor=1e-18):
     rng = np.random.Generator(np.random.PCG64(seed))
     s = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     kc = spectral.dealias_cutoff(n)
-    shell_counts = {}
-    for shell in range(1, kc + 2):
-        shell_counts[shell] = len(shell_members(n, shell))
+    # members of each shell K <= |k| < K+1 inside the dealias square
+    k = np.arange(-kc, kc + 1)
+    shells = np.floor(np.hypot(k[:, None], k)).astype(np.int64)
+    shell_counts = np.bincount(shells.ravel())
     # fixed half-lattice traversal (k1 > 0, or k1 == 0 and k2 > 0)
     for k1 in range(0, kc + 1):
         for k2 in range(-kc, kc + 1):
@@ -154,9 +145,7 @@ def make_random_flow(n, seed, modulus_floor=1e-18):
             shell = int(np.floor(np.hypot(k1, k2)))
             if shell < 1 or shell > kc:
                 continue
-            count = shell_counts.get(shell, 0)
-            if count == 0:
-                continue
+            count = shell_counts[shell]
             modulus = 2.0 * shell**3.5 * np.exp(-(shell**2) / 4.0) / count
             phase = rng.uniform(0.0, 2.0 * np.pi)
             if modulus < modulus_floor:
@@ -327,19 +316,17 @@ def run(config, output_dir=None):
     return artifacts
 
 
-def _run_cl(config, omega, artifacts, writer, record_diagnostics):
+def _march(config, omega, advance, artifacts, writer, record_diagnostics):
+    """The step loop of every method, from t = 0 to t_end.
+
+    advance(omega, step, t) -> (omega, dt, record) takes step number
+    step + 1.  The loop owns t, the step count, the step records and the
+    output and checkpoint cadences.
+    """
     t = 0.0
     step = 0
-    r_estimate = None
     while t < config.t_end - 1e-12:
-        if config.radius_cadence and step % config.radius_cadence == 0:
-            report, norms = radius_probe(omega, config.radius_depth)
-            writer.norms(step, t, norms)
-            if report is not None:
-                r_estimate = report.radius
-                artifacts.radius_series.append((step, t, report.radius))
-
-        omega, dt, record = _cl_step(config, omega, step, t, r_estimate)
+        omega, dt, record = advance(omega, step, t)
         t += dt
         step += 1
         artifacts.steps.append(record)
@@ -348,6 +335,22 @@ def _run_cl(config, omega, artifacts, writer, record_diagnostics):
         if config.checkpoint_cadence and step % config.checkpoint_cadence == 0:
             writer.checkpoint(omega, t)
     return omega, t
+
+
+def _run_cl(config, omega, artifacts, writer, record_diagnostics):
+    r_estimate = None
+
+    def advance(omega, step, t):
+        nonlocal r_estimate
+        if config.radius_cadence and step % config.radius_cadence == 0:
+            report, norms = radius_probe(omega, config.radius_depth)
+            writer.norms(step, t, norms)
+            if report is not None:
+                r_estimate = report.radius
+                artifacts.radius_series.append((step, t, report.radius))
+        return _cl_step(config, omega, step, t, r_estimate)
+
+    return _march(config, omega, advance, artifacts, writer, record_diagnostics)
 
 
 def _cl_step(config, omega, step, t, r_estimate):
@@ -409,46 +412,17 @@ def _run_eulerian(config, omega, artifacts, writer, record_diagnostics):
         "RK4": lambda st, dt: eulerian.rk4_step(st, dt),
         "ET": lambda st, dt: eulerian.et_step(st, dt, config.order),
     }[config.method]
-    state = eulerian.EulerianState(omega, 0.0)
-    step = 0
-    while state.t < config.t_end - 1e-12:
-        dt = min(config.dt, config.t_end - state.t)
-        state = stepper(state, dt)
-        step += 1
-        artifacts.steps.append(
-            {"step": step, "t": state.t, "dt": dt, "dt_unclipped": config.dt,
-             "order": config.order, "truncation_term": 0.0,
-             "jacobian_min": 1.0, "rejections": 0}
-        )
-        if config.output_cadence and step % config.output_cadence == 0:
-            record_diagnostics(step, state.omega, state.t)
-        if config.checkpoint_cadence and step % config.checkpoint_cadence == 0:
-            writer.checkpoint(state.omega, state.t)
-    return state.omega, state.t
 
+    def advance(omega, step, t):
+        dt = min(config.dt, config.t_end - t)
+        state = stepper(eulerian.EulerianState(omega, t), dt)
+        return state.omega, dt, {
+            "step": step + 1, "t": state.t, "dt": dt, "dt_unclipped": config.dt,
+            "order": config.order, "truncation_term": 0.0,
+            "jacobian_min": 1.0, "rejections": 0,
+        }
 
-def compare(artifacts_a, artifacts_b):
-    """Discrepancy table between two runs at their common output times."""
-    if artifacts_a.config.n != artifacts_b.config.n:
-        raise ConfigError("resolution mismatch between runs")
-    times_b = {round(t, 10): i for i, t in enumerate(artifacts_b.field_times)}
-    common = [t for t in artifacts_a.field_times if round(t, 10) in times_b]
-    if not common:
-        raise ConfigError("no matching output times between runs")
-    cons_a = {round(t, 10): (e, z) for _, t, e, z in artifacts_a.conservation}
-    cons_b = {round(t, 10): (e, z) for _, t, e, z in artifacts_b.conservation}
-    rows = []
-    for t in common:
-        key = round(t, 10)
-        ea, za = cons_a[key]
-        eb, zb = cons_b[key]
-        rows.append([t, abs(ea - eb), abs(za - zb)])
-    # field-level discrepancy only for the final common state held in memory
-    if round(artifacts_a.t, 10) == round(artifacts_b.t, 10):
-        ga = spectral.inverse(artifacts_a.omega, check=False)
-        gb = spectral.inverse(artifacts_b.omega, check=False)
-        rows[-1].append(diagnostics.max_discrepancy(ga, gb))
-    return rows
+    return _march(config, omega, advance, artifacts, writer, record_diagnostics)
 
 
 def compare_dirs(dir_a, dir_b, out_path=None):

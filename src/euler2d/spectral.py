@@ -112,8 +112,13 @@ def half_plane_weights(n):
 
 
 def dealias_cutoff(n):
-    """2/3-rule cutoff: modes with |k1| > n//3 or |k2| > n//3 are dropped."""
-    return n // 3
+    """2/3-rule cutoff K: modes with |k1| > K or |k2| > K are dropped.
+
+    K is the largest integer with 3K < n, so that a product of two retained
+    modes (|k| <= 2K) never aliases onto a retained one (|k -+ n| > K).
+    That is n // 3, less one when 3 divides n.
+    """
+    return (n - 1) // 3
 
 
 def _grid_size(s):

@@ -145,17 +145,3 @@ class TestTransitionDetection:
         assert len(out["lagrangian_norms"]) == 8
         assert len(out["eulerian_norms"]) == 8
         assert out["lagrangian_transition"] is None
-
-
-def test_pointwise_radius_consistent_with_norm_fit():
-    """The grid-sampled pointwise estimate cannot exceed the series radius
-    by much, nor collapse: it brackets the norm-fit value within a factor 2."""
-    from euler2d import lagrangian
-
-    omega = runner.make_four_mode(128)
-    v = spectral.velocity_from_vorticity(omega)
-    stack = lagrangian.build_stack(v, omega, 30)
-    pointwise = diagnostics.pointwise_hadamard_minimum(stack)
-    report, _ = runner.radius_probe(omega, depth=30, s_min=8)
-    assert report is not None
-    assert 0.5 * report.radius < pointwise < 2.0 * report.radius

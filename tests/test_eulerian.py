@@ -24,6 +24,35 @@ class TestRhs:
         omega = spectral.forward(np.cos(a))
         assert np.max(np.abs(eulerian.rhs(omega))) < 1e-15
 
+    @pytest.mark.parametrize("n", [32, 33, 48])
+    def test_alias_free(self, n):
+        # -(v . grad) omega of a dealiased omega, formed on a grid of 2n
+        # points so that no product mode aliases, then cut to the kept modes
+        omega = spectral.dealias(spectral.forward(
+            np.random.default_rng(n).normal(size=(n, n))))
+        omega[0, 0] = 0.0
+        full = np.fft.fft2(spectral.inverse(omega), norm="forward")
+        k = np.fft.fftfreq(n, 1.0 / n)
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        lap = k1 * k1 + k2 * k2
+        lap[0, 0] = 1.0
+        psi = -full / lap
+        m = 2 * n
+        pos = np.arange(n) + (m - n) * (k < 0)  # index of each k on the fine grid
+        idx = np.ix_(pos, pos)
+
+        def fine(c):
+            padded = np.zeros((m, m), dtype=complex)
+            padded[idx] = c
+            return np.fft.ifft2(padded, norm="forward").real
+
+        prod = (fine(-1j * k2 * psi) * fine(1j * k1 * full)
+                + fine(1j * k1 * psi) * fine(1j * k2 * full))
+        want = -np.fft.fft2(prod, norm="forward")[idx][:, : n // 2 + 1]
+        want *= spectral.dealias_mask(n)
+        got = eulerian.rhs(omega)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 
 class TestRungeKutta:
     def test_fixed_point(self):

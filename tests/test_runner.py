@@ -46,6 +46,33 @@ class TestInitialConditions:
                 k1, k2 = -k1, -k2
             assert abs(s[k1 % n, k2]) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_random_flow_matches_brute_force_count(self, n):
+        # shells counted by a loop over the dealias square, phases drawn in
+        # the same lattice order: the field must agree bit for bit
+        kc = spectral.dealias_cutoff(n)
+        count = {}
+        for k1 in range(-kc, kc + 1):
+            for k2 in range(-kc, kc + 1):
+                shell = int(np.floor(np.hypot(k1, k2)))
+                count[shell] = count.get(shell, 0) + 1
+        rng = np.random.Generator(np.random.PCG64(9))
+        want = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+        for k1 in range(0, kc + 1):
+            for k2 in range(-kc, kc + 1):
+                shell = int(np.floor(np.hypot(k1, k2)))
+                if (k1 == 0 and k2 <= 0) or not 1 <= shell <= kc:
+                    continue
+                modulus = 2.0 * shell**3.5 * np.exp(-(shell**2) / 4.0) / count[shell]
+                value = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                if modulus < 1e-18:
+                    continue
+                if k2 >= 0:
+                    want[k1 % n, k2] = value
+                if k2 <= 0:
+                    want[(-k1) % n, -k2] = np.conj(value)
+        np.testing.assert_array_equal(runner.make_random_flow(n, seed=9), want)
+
     def test_random_flow_is_real(self):
         s = runner.make_random_flow(64, seed=6)
         # the half layout leaves only the k2=0 and Nyquist columns free to
@@ -204,24 +231,38 @@ class TestRunLoop:
         assert len(art.steps) == 10
         assert art.t == pytest.approx(0.5)
 
-    def test_output_directory_contents(self, tmp_path):
+    @pytest.mark.parametrize(
+        "method", [{"method": "CL"}, {"method": "RK4", "dt": 0.05}], ids=["CL", "RK4"]
+    )
+    def test_output_directory_contents(self, tmp_path, method):
+        # both methods go through one loop: one field, spectrum and
+        # conservation row per step, and the checkpoint of the last step
         out = tmp_path / "run"
         config = runner.RunConfig(
-            method="CL", order=8, n=64, t_end=0.3,
+            **method, order=8, n=64, t_end=0.3,
             output_cadence=1, radius_cadence=2, radius_depth=25,
             checkpoint_cadence=1,
         )
-        runner.run(config, output_dir=str(out))
+        art = runner.run(config, output_dir=str(out))
         assert (out / "config.txt").exists()
-        assert (out / "conservation.csv").exists()
-        assert (out / "steps.csv").exists()
-        assert (out / "radius.csv").exists()
-        assert (out / "checkpoint.field").exists()
+        steps = len(art.steps)
+        assert steps >= 2
         fields = sorted(os.listdir(out / "fields"))
-        assert fields[0] == "omega_000000.field"
-        assert len(fields) >= 2
+        assert fields == [f"omega_{step:06d}.field" for step in range(steps + 1)]
+        spectra = sorted(f for f in os.listdir(out) if f.startswith("spectrum_"))
+        assert spectra == [f"spectrum_{step:06d}.csv" for step in range(steps + 1)]
+        _, rows = io.read_csv(str(out / "conservation.csv"))
+        assert [row[0] for row in rows] == list(range(steps + 1))
+        _, rows = io.read_csv(str(out / "steps.csv"))
+        assert [row[0] for row in rows] == list(range(1, steps + 1))
+        assert io.read_field(str(out / "checkpoint.field"))[1] == art.t
+        assert art.t == pytest.approx(0.3, abs=1e-12)
         norms = [f for f in os.listdir(out) if f.startswith("norms_")]
-        assert norms
+        if config.method == "CL":
+            assert (out / "radius.csv").exists()
+            assert norms
+        else:
+            assert not norms
 
     def test_radius_cap_binds(self, monkeypatch):
         # a reported radius of 0.05 caps every step at 0.05 e^-2, well below
@@ -279,18 +320,12 @@ class TestRunLoop:
         assert len(built) == len(art.steps) + probes
         assert alive_at_entry == [0] * len(built)
 
-    def test_compare_self_is_zero(self):
-        config = runner.RunConfig(method="RK4", dt=0.05, n=64, t_end=0.2,
-                                  output_cadence=2)
-        art = runner.run(config)
-        rows = runner.compare(art, art)
-        assert rows[-1][-1] == 0.0
-
-    def test_compare_resolution_mismatch(self):
-        a = runner.run(runner.RunConfig(method="CL", n=64, t_end=0.0))
-        b = runner.run(runner.RunConfig(method="CL", n=48, t_end=0.0))
+    def test_compare_resolution_mismatch(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        runner.run(runner.RunConfig(method="CL", n=64, t_end=0.0), output_dir=a)
+        runner.run(runner.RunConfig(method="CL", n=48, t_end=0.0), output_dir=b)
         with pytest.raises(ConfigError):
-            runner.compare(a, b)
+            runner.compare_dirs(a, b)
 
     def test_compare_dirs(self, tmp_path):
         config = runner.RunConfig(method="RK4", dt=0.05, n=64, t_end=0.2,

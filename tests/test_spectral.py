@@ -258,7 +258,7 @@ class TestFullLatticeOracle:
         g = self._field(n, 60 + n)
         s = spectral.forward(g)
         full, k1, k2 = self._full(g)
-        kc = n // 3
+        kc = (n - 1) // 3  # largest K with 3K < n: products of kept modes do not alias
         lap = (k1 * k1 + k2 * k2).astype(float)
         lap[0, 0] = 1.0
         psi = -full / lap
