@@ -106,7 +106,7 @@ def _cmd_radius(args):
         raise ConfigError(
             f"{args.norms_csv}: norm column missing or not numeric"
         ) from exc
-    s_max = args.s_max or len(norms)
+    s_max = len(norms) if args.s_max is None else args.s_max
     report = diagnostics.fit_log_linear(norms, (args.s_min, s_max))
     estimators = diagnostics.radius_estimators(norms)
     print(f"radius={report.radius:.6f} alpha={report.alpha:.4f} "

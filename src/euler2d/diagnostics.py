@@ -52,6 +52,8 @@ def fit_log_linear(values, window):
     the window.
     """
     s_min, s_max = window
+    if s_min < 1:
+        raise InsufficientDataError(f"fit window starts at s={s_min}, below s=1")
     values = np.asarray(values, dtype=np.float64)
     s_max = min(s_max, len(values))
     s = np.arange(s_min, s_max + 1)
@@ -97,22 +99,16 @@ def radius_estimators(values, tail_fraction=0.5):
 
 
 def fit_analyticity_delta(spec, window):
-    """Fill delta/exponent by fitting ln E(K) against {1, ln K, K}."""
-    k_min, k_max = window
-    k_max = min(k_max, len(spec.shells) - 1)
-    k = np.arange(k_min, k_max + 1)
-    if len(k) < 4:
-        raise InsufficientDataError("fit window shorter than 4 points")
-    e = spec.shells[k]
-    if np.any(e <= 0.0):
-        raise ValueError("fit window contains empty shells")
-    design = np.column_stack([np.ones_like(k, dtype=float), np.log(k), k])
-    (c, nexp, slope), *_ = np.linalg.lstsq(design, np.log(e), rcond=None)
+    """Fill delta/exponent by fitting ln E(K) against {1, ln K, K}.
+
+    The fit is fit_log_linear on the shells K >= 1, with K in the role of s.
+    """
+    fit = fit_log_linear(spec.shells[1:], window)
     return SpectrumReport(
         shells=spec.shells,
-        delta=float(-slope / 2.0),
-        exponent=float(nexp),
-        prefactor=float(np.exp(c)),
+        delta=-fit.beta / 2.0,
+        exponent=fit.alpha,
+        prefactor=fit.gamma,
     )
 
 
@@ -175,8 +171,7 @@ def coefficient_norm_probe(omega, s_max_lagrangian, s_max_eulerian, decades=3.0)
     and the vorticity stack (Eulerian) and reports each norm sequence with
     its detected rounding-noise transition order.
     """
-    v = spectral.velocity_from_vorticity(omega)
-    stack = lagrangian.build_stack(v, omega, s_max_lagrangian)
+    stack = lagrangian.build_stack(omega, s_max_lagrangian, keep_coeffs=False)
     lag = stack.norm_sequence()
     et = eulerian.et_coefficients(omega, s_max_eulerian).norm_sequence()
     return {

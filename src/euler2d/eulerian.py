@@ -14,12 +14,6 @@ from .errors import NumericalError
 
 
 @dataclass
-class EulerianState:
-    omega: np.ndarray  # spectral, dealiased, zero mean
-    t: float
-
-
-@dataclass
 class EtStack:
     """Vorticity Taylor coefficients omega_0..omega_S around one instant."""
 
@@ -60,22 +54,21 @@ def _check(omega):
     return omega
 
 
-def rk2_step(state, dt):
-    """Explicit midpoint step."""
-    k1 = rhs(state.omega)
-    k2 = rhs(spectral.dealias(state.omega + 0.5 * dt * k1))
-    return EulerianState(_check(spectral.dealias(state.omega + dt * k2)), state.t + dt)
+def rk2_step(omega, dt):
+    """Explicit midpoint step of the spectral vorticity."""
+    k1 = rhs(omega)
+    k2 = rhs(spectral.dealias(omega + 0.5 * dt * k1))
+    return _check(spectral.dealias(omega + dt * k2))
 
 
-def rk4_step(state, dt):
-    """Classical fourth-order Runge-Kutta step."""
-    w = state.omega
-    k1 = rhs(w)
-    k2 = rhs(spectral.dealias(w + 0.5 * dt * k1))
-    k3 = rhs(spectral.dealias(w + 0.5 * dt * k2))
-    k4 = rhs(spectral.dealias(w + dt * k3))
-    out = spectral.dealias(w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return EulerianState(_check(out), state.t + dt)
+def rk4_step(omega, dt):
+    """Classical fourth-order Runge-Kutta step of the spectral vorticity."""
+    k1 = rhs(omega)
+    k2 = rhs(spectral.dealias(omega + 0.5 * dt * k1))
+    k3 = rhs(spectral.dealias(omega + 0.5 * dt * k2))
+    k4 = rhs(spectral.dealias(omega + dt * k3))
+    out = spectral.dealias(omega + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return _check(out)
 
 
 def et_coefficients(omega0, order):
@@ -104,18 +97,8 @@ def et_coefficients(omega0, order):
     return EtStack(coeffs=coeffs, norms=norms)
 
 
-def et_step(state, dt, order):
+def et_step(omega, dt, order):
     """Advance by summing the truncated vorticity Taylor series (Horner)."""
-    stack = et_coefficients(state.omega, order)
+    stack = et_coefficients(omega, order)
     acc = series.horner(stack.coeffs, dt)
-    return EulerianState(_check(spectral.dealias(acc)), state.t + dt)
-
-
-def max_speed(omega):
-    v = spectral.inverse(spectral.velocity_from_vorticity(omega), check=False)
-    return float(np.max(np.sqrt(v[0] ** 2 + v[1] ** 2)))
-
-
-def courant_number(omega, dt):
-    """Co = k_max * U_max * dt with k_max the dealias cutoff."""
-    return spectral.dealias_cutoff(omega.shape[-2]) * max_speed(omega) * dt
+    return _check(spectral.dealias(acc))

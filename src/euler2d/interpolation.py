@@ -16,14 +16,13 @@ KERNEL = "python"
 TWO_PI = 2.0 * np.pi
 
 
-def check_monotonicity(state):
+def check_monotonicity(positions):
     """Verify y(a_i, b) increases strictly along every vertical line.
 
     Returns (ok, report) where the report lists violating line indices;
     never raises, the caller decides how to react.
     """
-    y = state.positions[1]
-    n = y.shape[0]
+    y = positions[1]
     interior = np.diff(y, axis=1) > 0.0
     wrap = y[:, 0] + TWO_PI - y[:, -1] > 0.0
     ok_lines = interior.all(axis=1) & wrap
@@ -31,34 +30,35 @@ def check_monotonicity(state):
     return len(violating) == 0, violating
 
 
-def cascade_revert(state):
-    """Interpolate the carried vorticity back to the uniform grid.
+def cascade_revert(positions, vorticity):
+    """Interpolate the vorticity carried to positions back to the uniform grid.
 
+    In 2D the Lagrangian vorticity equals the step's initial grid samples.
     Raises ReversionError on monotonicity violation (either direction of
     the hybrid construction).
     """
-    ok, report = check_monotonicity(state)
+    ok, report = check_monotonicity(positions)
     if not ok:
         raise ReversionError(
             f"monotonicity violated on {len(report)} vertical line(s)", report=report
         )
-    x, y = state.positions
+    x, y = positions
     try:
         return _cascade_py.cascade(
             np.ascontiguousarray(x),
             np.ascontiguousarray(y),
-            np.ascontiguousarray(state.lagrangian_vorticity),
+            np.ascontiguousarray(vorticity),
         )
     except ValueError as exc:
         raise ReversionError(str(exc)) from exc
 
 
-def slow_fourier_check(reverted, state, sample_points):
+def slow_fourier_check(reverted, positions, vorticity, sample_points):
     """Direct Fourier-series evaluation at distorted-grid sample points.
 
     reverted: spectral field of the reverted vorticity.  sample_points:
     iterable of (i, j) grid indices.  Returns the max absolute mismatch
-    against the vorticity carried by the state.
+    against the vorticity carried to positions.
     """
     sample_points = list(sample_points)
     if not sample_points:
@@ -68,8 +68,7 @@ def slow_fourier_check(reverted, state, sample_points):
     weighted = spectral.half_plane_weights(n) * reverted
     worst = 0.0
     for i, j in sample_points:
-        xp = state.positions[0][i, j]
-        yp = state.positions[1][i, j]
+        xp, yp = positions[:, i, j]
         val = np.real(np.sum(weighted * np.exp(1j * (k1 * xp + k2 * yp))))
-        worst = max(worst, abs(val - state.lagrangian_vorticity[i, j]))
+        worst = max(worst, abs(val - vorticity[i, j]))
     return worst

@@ -62,19 +62,6 @@ class TaylorStack:
         return np.asarray(self.norms[1:], dtype=np.float64)
 
 
-@dataclass
-class DistortedState:
-    """End-of-step particle positions and the vorticity they carry.
-
-    positions holds raw (unwrapped) coordinates a + xi_S(a, dt); in 2D the
-    Lagrangian vorticity equals the step's initial vorticity samples.
-    """
-
-    positions: np.ndarray
-    lagrangian_vorticity: np.ndarray
-    dt: float
-
-
 def next_coefficient(stack, omega_init, s):
     """Compute xi^(s) from coefficients 1..s-1 and the initial vorticity."""
     if s != len(stack.coeffs):
@@ -121,19 +108,17 @@ def _recurrence_sources(grads, s, n):
     return curl_src, div_src
 
 
-def build_stack(v_init, omega_init, order, keep_coeffs=True):
+def build_stack(omega_init, order, keep_coeffs=True):
     """Populate a TaylorStack to the requested order.
 
-    xi^(1) is taken directly as the initial velocity; higher coefficients
-    come from the recurrence.  NaN in any coefficient aborts with the order.
-    With keep_coeffs=False each xi^(s) is dropped once its norm and
-    gradients are taken, for a caller that reads only the norms: the
-    recurrence reads the gradients alone, so the norms do not change.
+    Every coefficient, xi^(1) = v0 included, comes from the recurrence.
+    NaN in any coefficient aborts with the order.  With keep_coeffs=False
+    each xi^(s) is dropped once its norm and gradients are taken, for a
+    caller that reads only the norms: the recurrence reads the gradients
+    alone, so the norms do not change.
     """
-    n = v_init.shape[-2]
-    stack = TaylorStack(n=n)
-    stack.append(np.array(v_init), keep_coeffs)
-    for s in range(2, order + 1):
+    stack = TaylorStack(n=omega_init.shape[-2])
+    for s in range(1, order + 1):
         xi = next_coefficient(stack, omega_init, s)
         if not np.all(np.isfinite(xi.view(np.float64))):
             raise NumericalError(f"non-finite Taylor coefficient at order {s}", order=s)
@@ -163,8 +148,9 @@ def choose_step(norms, epsilon, dt_cap=np.inf):
     return float(min(dt, dt_cap))
 
 
-def evaluate_displacement(stack, dt, omega_init_grid):
-    """Sum the truncated series at dt and return the distorted state."""
+def evaluate_displacement(stack, dt):
+    """Sum the truncated series at dt; returns the (2, n, n) raw (unwrapped)
+    positions a + xi_S(a, dt)."""
     if stack.order < 1:
         raise StateError("stack is empty")
     xi = spectral.inverse(series.horner(stack.coeffs, dt), check=False)
@@ -174,12 +160,7 @@ def evaluate_displacement(stack, dt, omega_init_grid):
             f"displacement max-norm {max_disp:.3f} exceeds half a period"
         )
     a1, a2 = spectral.grid_coordinates(stack.n)
-    positions = np.stack([a1 + xi[0], a2 + xi[1]])
-    return DistortedState(
-        positions=positions,
-        lagrangian_vorticity=np.array(omega_init_grid),
-        dt=dt,
-    )
+    return np.stack([a1 + xi[0], a2 + xi[1]])
 
 
 def jacobian_determinant(stack, dt):

@@ -1,14 +1,17 @@
 """Experiment orchestration: initial conditions, the multistep loop, I/O.
 
-One Lagrangian step: build the displacement Taylor stack, pick dt from the
-truncation criterion (norms[S] * dt^S < epsilon, capped by R*e^-2 once a
-radius estimate exists), evaluate the truncated series, check
-monotonicity, revert the vorticity by cascade interpolation, restart from
-the new Eulerian field.  Eulerian methods march with a fixed dt.  One
-loop, ``_march``, drives every method; ``_run_cl`` and ``_run_eulerian``
-only supply its per-step ``advance``.
+One Lagrangian step: build the displacement Taylor stack from the
+vorticity, pick dt from the truncation criterion (norms[S] * dt^S <
+epsilon, capped by R*e^-2 once a radius estimate exists), evaluate the
+truncated series to particle positions, check monotonicity, revert the
+step's initial vorticity grid from those positions by cascade
+interpolation, restart from the new Eulerian field.  Eulerian methods march
+with a fixed dt, each stepper mapping the spectral vorticity to the next.
+The stages pass plain arrays.  One loop, ``_march``, drives every method
+and owns t; ``_run_cl`` and ``_run_eulerian`` only supply its per-step
+``advance``.
 
-A step's Taylor stack, distorted state and reverted grid are locals of
+A step's Taylor stack, particle positions and reverted grid are locals of
 ``_cl_step``, so they are freed when the step returns, before the next step
 (or radius probe) builds its stack.  The radius probe keeps only the norms
 of its deep stack, not its coefficients.
@@ -96,7 +99,6 @@ class RunArtifacts:
     steps: list = dc_field(default_factory=list)
     conservation: list = dc_field(default_factory=list)  # (step, t, E, Z)
     radius_series: list = dc_field(default_factory=list)  # (step, t, radius)
-    field_times: list = dc_field(default_factory=list)
     output_dir: str | None = None
 
 
@@ -180,8 +182,7 @@ def initial_vorticity(config):
 def radius_probe(omega, depth=40, s_min=10):
     """Fit the L2-norm series of a deep displacement stack; returns
     (FitReport or None, norm sequence)."""
-    v = spectral.velocity_from_vorticity(omega)
-    norms = lagrangian.build_stack(v, omega, depth, keep_coeffs=False).norm_sequence()
+    norms = lagrangian.build_stack(omega, depth, keep_coeffs=False).norm_sequence()
     transition = diagnostics.detect_transition(norms)
     s_max = len(norms) if transition is None else max(transition - 5, s_min + 4)
     try:
@@ -296,7 +297,6 @@ def run(config, output_dir=None):
         )
         writer.field(step, omega, t)
         writer.spectrum(step, omega, t)
-        artifacts.field_times.append(t)
 
     # a failed run still writes the records of the steps it completed
     try:
@@ -307,7 +307,7 @@ def run(config, output_dir=None):
             omega, t = _run_eulerian(
                 config, omega, artifacts, writer, record_diagnostics
             )
-        if artifacts.field_times[-1] != t:
+        if artifacts.conservation[-1][1] != t:
             record_diagnostics(len(artifacts.steps), omega, t)
         artifacts.omega = omega
         artifacts.t = t
@@ -358,13 +358,12 @@ def _cl_step(config, omega, step, t, r_estimate):
 
     Returns the new spectral vorticity, the dt taken and the step record.
     """
-    v = spectral.velocity_from_vorticity(omega)
     if config.auto_order:
-        amplitude = spectral.norm_l2(v)
+        amplitude = spectral.norm_l2(spectral.velocity_from_vorticity(omega))
         order = lagrangian.step_order_controller(config.epsilon, amplitude)
     else:
         order = config.order
-    stack = lagrangian.build_stack(v, omega, order)
+    stack = lagrangian.build_stack(omega, order)
 
     norms = stack.norm_sequence()
     dt_cap = config.dt if config.dt else np.inf
@@ -380,8 +379,8 @@ def _cl_step(config, omega, step, t, r_estimate):
     rejections = 0
     while True:
         try:
-            state = lagrangian.evaluate_displacement(stack, dt, omega_grid)
-            reverted = interpolation.cascade_revert(state)
+            positions = lagrangian.evaluate_displacement(stack, dt)
+            reverted = interpolation.cascade_revert(positions, omega_grid)
             break
         except (StepTooLargeError, ReversionError):
             rejections += 1
@@ -408,16 +407,15 @@ def _cl_step(config, omega, step, t, r_estimate):
 
 def _run_eulerian(config, omega, artifacts, writer, record_diagnostics):
     stepper = {
-        "RK2": lambda st, dt: eulerian.rk2_step(st, dt),
-        "RK4": lambda st, dt: eulerian.rk4_step(st, dt),
-        "ET": lambda st, dt: eulerian.et_step(st, dt, config.order),
+        "RK2": eulerian.rk2_step,
+        "RK4": eulerian.rk4_step,
+        "ET": lambda omega, dt: eulerian.et_step(omega, dt, config.order),
     }[config.method]
 
     def advance(omega, step, t):
         dt = min(config.dt, config.t_end - t)
-        state = stepper(eulerian.EulerianState(omega, t), dt)
-        return state.omega, dt, {
-            "step": step + 1, "t": state.t, "dt": dt, "dt_unclipped": config.dt,
+        return stepper(omega, dt), dt, {
+            "step": step + 1, "t": t + dt, "dt": dt, "dt_unclipped": config.dt,
             "order": config.order, "truncation_term": 0.0,
             "jacobian_min": 1.0, "rejections": 0,
         }

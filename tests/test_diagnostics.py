@@ -48,6 +48,11 @@ class TestFitLogLinear:
         with pytest.raises(InsufficientDataError):
             diagnostics.fit_log_linear(values, (1, 10))
 
+    @pytest.mark.parametrize("s_min", [0, -2])
+    def test_window_below_first_order_rejected(self, s_min):
+        with pytest.raises(InsufficientDataError):
+            diagnostics.fit_log_linear(np.ones(10), (s_min, 10))
+
 
 class TestRadiusEstimators:
     def test_geometric(self):
@@ -81,6 +86,13 @@ class TestAnalyticityStrip:
         out = diagnostics.fit_analyticity_delta(spec, (1, 49))
         assert out.delta == pytest.approx(0.1, abs=1e-12)
         assert out.exponent == pytest.approx(3.0, abs=1e-10)
+
+    def test_empty_shell_rejected(self):
+        shells = np.arange(0, 20, dtype=float) ** 3
+        shells[10] = 0.0
+        spec = diagnostics.SpectrumReport(shells=shells)
+        with pytest.raises(InsufficientDataError):
+            diagnostics.fit_analyticity_delta(spec, (1, 19))
 
     def test_strip_width_shrinks_in_time(self):
         deltas = []

@@ -15,19 +15,11 @@ def _deformed(n, amp, field):
     return x, y, w, field(a, b)
 
 
-def _state(positions, values):
-    return lagrangian.DistortedState(
-        positions=np.asarray(positions),
-        lagrangian_vorticity=np.asarray(values),
-        dt=0.0,
-    )
-
-
 class TestMonotonicity:
     def test_identity(self):
         n = 32
         a, b = spectral.grid_coordinates(n)
-        ok, report = interpolation.check_monotonicity(_state([a, b], np.zeros((n, n))))
+        ok, report = interpolation.check_monotonicity(np.stack([a, b]))
         assert ok
         assert report == []
 
@@ -35,7 +27,7 @@ class TestMonotonicity:
         n = 32
         a, b = spectral.grid_coordinates(n)
         y = b + 2.0 * np.sin(b)  # dy/db changes sign: folds every line
-        ok, report = interpolation.check_monotonicity(_state([a, y], np.zeros((n, n))))
+        ok, report = interpolation.check_monotonicity(np.stack([a, y]))
         assert not ok
         assert len(report) == n
 
@@ -43,7 +35,7 @@ class TestMonotonicity:
         n = 32
         a, b = spectral.grid_coordinates(n)
         with pytest.raises(ReversionError) as info:
-            interpolation.cascade_revert(_state([a, b + 2.0 * np.sin(b)], a))
+            interpolation.cascade_revert(np.stack([a, b + 2.0 * np.sin(b)]), a)
         assert info.value.report
 
 
@@ -148,14 +140,14 @@ def test_nan_vorticity_stays_non_finite(amp):
 
 
 def test_nan_vorticity_fails_the_run(monkeypatch, tmp_path):
-    evaluate = lagrangian.evaluate_displacement
+    revert = interpolation.cascade_revert
 
-    def poisoned(*args):
-        state = evaluate(*args)
-        state.lagrangian_vorticity[3, 4] = np.nan
-        return state
+    def poisoned(positions, vorticity):
+        vorticity = vorticity.copy()
+        vorticity[3, 4] = np.nan
+        return revert(positions, vorticity)
 
-    monkeypatch.setattr(lagrangian, "evaluate_displacement", poisoned)
+    monkeypatch.setattr(interpolation, "cascade_revert", poisoned)
     config = runner.RunConfig(method="CL", n=32, t_end=0.05, radius_cadence=0)
     with pytest.raises(NumericalError):
         runner.run(config, output_dir=str(tmp_path / "run"))
@@ -175,16 +167,16 @@ class TestSlowFourierCheck:
         n = 64
         a, b = spectral.grid_coordinates(n)
         g = np.sin(a) * np.cos(b)
-        state = _state([a, b], g)
         reverted = spectral.forward(g)
         points = [(0, 0), (5, 9), (31, 63)]
-        assert interpolation.slow_fourier_check(reverted, state, points) <= 1e-13
+        got = interpolation.slow_fourier_check(reverted, np.stack([a, b]), g, points)
+        assert got <= 1e-13
 
     def test_empty_sample(self):
         n = 16
         a, b = spectral.grid_coordinates(n)
-        state = _state([a, b], a)
-        assert interpolation.slow_fourier_check(spectral.forward(a), state, []) == 0.0
+        got = interpolation.slow_fourier_check(spectral.forward(a), np.stack([a, b]), a, [])
+        assert got == 0.0
 
     def test_after_real_step(self):
         """One converged Lagrangian step: the reverted spectral field,
@@ -192,13 +184,12 @@ class TestSlowFourierCheck:
         vorticity to the interpolation accuracy."""
         n = 256
         omega = runner.make_four_mode(n)
-        v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 8)
+        stack = lagrangian.build_stack(omega, 8)
         dt = lagrangian.choose_step(stack.norm_sequence(), 1e-12)
-        state = lagrangian.evaluate_displacement(
-            stack, dt, spectral.inverse(omega, check=False)
-        )
-        reverted = spectral.forward(interpolation.cascade_revert(state))
+        positions = lagrangian.evaluate_displacement(stack, dt)
+        grid = spectral.inverse(omega, check=False)
+        reverted = spectral.forward(interpolation.cascade_revert(positions, grid))
         rng = np.random.default_rng(23)
         points = [tuple(p) for p in rng.integers(0, n, size=(32, 2))]
-        assert interpolation.slow_fourier_check(reverted, state, points) < 1e-9
+        got = interpolation.slow_fourier_check(reverted, positions, grid, points)
+        assert got < 1e-9

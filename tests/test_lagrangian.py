@@ -19,31 +19,28 @@ def _fourier_eval(s, x, y):
 class TestBuildStack:
     def test_zero_velocity(self):
         n = 32
-        v = np.zeros((2, n, n // 2 + 1), dtype=complex)
         omega = np.zeros((n, n // 2 + 1), dtype=complex)
-        stack = lagrangian.build_stack(v, omega, 6)
+        stack = lagrangian.build_stack(omega, 6)
         for s in range(1, 7):
             assert np.all(stack.coeffs[s] == 0.0)
 
     def test_first_order_is_velocity(self):
         omega = runner.make_four_mode(64)
         v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 1)
+        stack = lagrangian.build_stack(omega, 1)
         assert stack.norms[1] == pytest.approx(spectral.norm_l2(v), rel=1e-14)
         np.testing.assert_array_equal(stack.coeffs[1], v)
 
     def test_out_of_sequence_rejected(self):
         omega = runner.make_four_mode(64)
-        v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 3)
+        stack = lagrangian.build_stack(omega, 3)
         with pytest.raises(StateError):
             lagrangian.next_coefficient(stack, omega, 6)
 
     def test_norms_only_stack_matches_full_stack(self):
         omega = runner.make_four_mode(64)
-        v = spectral.velocity_from_vorticity(omega)
-        full = lagrangian.build_stack(v, omega, 40).norm_sequence()
-        lean = lagrangian.build_stack(v, omega, 40, keep_coeffs=False)
+        full = lagrangian.build_stack(omega, 40).norm_sequence()
+        lean = lagrangian.build_stack(omega, 40, keep_coeffs=False)
         assert all(c is None for c in lean.coeffs)
         np.testing.assert_array_equal(lean.norm_sequence(), full)
         _, probe_norms = runner.radius_probe(omega, 40)
@@ -51,8 +48,7 @@ class TestBuildStack:
 
     def test_steady_flow_norms_decay(self):
         omega = runner.make_ab_flow(64)
-        v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 8)
+        stack = lagrangian.build_stack(omega, 8)
         norms = stack.norm_sequence()
         assert np.all(np.isfinite(norms))
         # geometric decay: every ratio well below 1 on this smooth flow
@@ -62,8 +58,7 @@ class TestBuildStack:
         """Independent curl/div assembly for orders 2..5 on the 4-mode flow."""
         n = 64
         omega = runner.make_four_mode(n)
-        v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 5)
+        stack = lagrangian.build_stack(omega, 5)
         for s in range(2, 6):
             curl_src = np.zeros((n, n))
             div_src = np.zeros((n, n))
@@ -93,8 +88,7 @@ class TestBuildStack:
         n = 64
         dt = 0.05
         omega = runner.make_four_mode(n)
-        v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 12)
+        stack = lagrangian.build_stack(omega, 12)
         et = eulerian.et_coefficients(omega, 12)
 
         def velocity_at(t, pos):
@@ -104,9 +98,7 @@ class TestBuildStack:
             vs = spectral.velocity_from_vorticity(w)
             return [_fourier_eval(vs[0], *pos), _fourier_eval(vs[1], *pos)]
 
-        state = lagrangian.evaluate_displacement(
-            stack, dt, spectral.inverse(omega, check=False)
-        )
+        positions = lagrangian.evaluate_displacement(stack, dt)
         a1, a2 = spectral.grid_coordinates(n)
         rng = np.random.default_rng(11)
         for _ in range(6):
@@ -119,7 +111,7 @@ class TestBuildStack:
                 rtol=1e-13,
                 atol=1e-13,
             )
-            got = state.positions[:, i, j]
+            got = positions[:, i, j]
             assert np.max(np.abs(got - sol.y[:, -1])) < 1e-10
 
 
@@ -186,37 +178,31 @@ class TestChooseStep:
 
 class TestEvaluateDisplacement:
     def _stack(self, n=64, order=8):
-        omega = runner.make_four_mode(n)
-        v = spectral.velocity_from_vorticity(omega)
-        return omega, lagrangian.build_stack(v, omega, order)
+        return lagrangian.build_stack(runner.make_four_mode(n), order)
 
     def test_zero_dt(self):
-        omega, stack = self._stack()
-        grid = spectral.inverse(omega, check=False)
-        state = lagrangian.evaluate_displacement(stack, 0.0, grid)
+        stack = self._stack()
+        positions = lagrangian.evaluate_displacement(stack, 0.0)
         a1, a2 = spectral.grid_coordinates(64)
-        np.testing.assert_array_equal(state.positions[0], a1)
-        np.testing.assert_array_equal(state.positions[1], a2)
+        np.testing.assert_array_equal(positions[0], a1)
+        np.testing.assert_array_equal(positions[1], a2)
 
     def test_single_term(self):
         n = 64
         omega = runner.make_four_mode(n)
         v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 1)
+        stack = lagrangian.build_stack(omega, 1)
         dt = 0.2
-        state = lagrangian.evaluate_displacement(
-            stack, dt, spectral.inverse(omega, check=False)
-        )
+        positions = lagrangian.evaluate_displacement(stack, dt)
         a1, a2 = spectral.grid_coordinates(n)
         vg = spectral.inverse(v, check=False)
-        np.testing.assert_allclose(state.positions[0], a1 + dt * vg[0], atol=1e-13)
-        np.testing.assert_allclose(state.positions[1], a2 + dt * vg[1], atol=1e-13)
+        np.testing.assert_allclose(positions[0], a1 + dt * vg[0], atol=1e-13)
+        np.testing.assert_allclose(positions[1], a2 + dt * vg[1], atol=1e-13)
 
     def test_huge_step_rejected(self):
-        omega, stack = self._stack()
-        grid = spectral.inverse(omega, check=False)
+        stack = self._stack()
         with pytest.raises(StepTooLargeError):
-            lagrangian.evaluate_displacement(stack, 20.0, grid)
+            lagrangian.evaluate_displacement(stack, 20.0)
 
     def test_steady_flow_trajectories(self):
         """On the steady single-mode flow the trajectories are closed orbits
@@ -224,11 +210,8 @@ class TestEvaluateDisplacement:
         n = 128
         dt = 0.1
         omega = runner.make_ab_flow(n)
-        v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(v, omega, 16)
-        state = lagrangian.evaluate_displacement(
-            stack, dt, spectral.inverse(omega, check=False)
-        )
+        stack = lagrangian.build_stack(omega, 16)
+        positions = lagrangian.evaluate_displacement(stack, dt)
 
         def velocity_at(_t, pos):
             x, y = pos
@@ -249,11 +232,11 @@ class TestEvaluateDisplacement:
                 rtol=1e-13,
                 atol=1e-13,
             )
-            got = state.positions[:, i, j]
+            got = positions[:, i, j]
             assert np.max(np.abs(got - sol.y[:, -1])) < 1e-9
 
     def test_jacobian_near_one(self):
-        omega, stack = self._stack()
+        stack = self._stack()
         jac = lagrangian.jacobian_determinant(stack, 0.05)
         assert np.max(np.abs(jac - 1.0)) < 1e-8
         assert np.all(jac > 0.0)

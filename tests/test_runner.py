@@ -148,12 +148,12 @@ _FAULTS_PER_STEP = """
 import resource
 from euler2d import eulerian, runner
 runner.run(runner.RunConfig(method="RK4", n=16, dt=0.1, t_end=0.0))
-state = eulerian.EulerianState(runner.make_four_mode(256), 0.0)
+omega = runner.make_four_mode(256)
 for _ in range(3):
-    state = eulerian.rk4_step(state, 0.01)
+    omega = eulerian.rk4_step(omega, 0.01)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
-    state = eulerian.rk4_step(state, 0.01)
+    omega = eulerian.rk4_step(omega, 0.01)
 faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
 print(faults, runner._hold_freed_heap())
 """
@@ -251,10 +251,12 @@ class TestRunLoop:
         assert fields == [f"omega_{step:06d}.field" for step in range(steps + 1)]
         spectra = sorted(f for f in os.listdir(out) if f.startswith("spectrum_"))
         assert spectra == [f"spectrum_{step:06d}.csv" for step in range(steps + 1)]
-        _, rows = io.read_csv(str(out / "conservation.csv"))
-        assert [row[0] for row in rows] == list(range(steps + 1))
+        _, kept = io.read_csv(str(out / "conservation.csv"))
+        assert [row[0] for row in kept] == list(range(steps + 1))
         _, rows = io.read_csv(str(out / "steps.csv"))
         assert [row[0] for row in rows] == list(range(1, steps + 1))
+        # each step record's t is the loop's t after that step
+        assert [row[1] for row in rows] == [row[1] for row in kept[1:]]
         assert io.read_field(str(out / "checkpoint.field"))[1] == art.t
         assert art.t == pytest.approx(0.3, abs=1e-12)
         norms = [f for f in os.listdir(out) if f.startswith("norms_")]
@@ -283,11 +285,11 @@ class TestRunLoop:
         calls = []
         revert = interpolation.cascade_revert
 
-        def failing_revert(state):
-            calls.append(state.dt)
+        def failing_revert(positions, vorticity):
+            calls.append(None)
             if len(calls) >= 4:
                 raise ReversionError("forced failure")
-            return revert(state)
+            return revert(positions, vorticity)
 
         monkeypatch.setattr(interpolation, "cascade_revert", failing_revert)
         out = tmp_path / "run"
@@ -384,6 +386,16 @@ class TestCli:
         io.write_csv(norms_csv, ["s", "norm"], [[s + 1, f] for s, f in enumerate(norms)])
         assert cli.main(["radius", norms_csv, "--s-min", "1"]) == 2
         assert "non-positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "window", [["--s-min", "0"], ["--s-min", "-2"], ["--s-max", "0"]],
+        ids=["s_min_0", "s_min_negative", "s_max_0"],
+    )
+    def test_radius_window_exit_code(self, tmp_path, capsys, window):
+        norms_csv = str(tmp_path / "norms.csv")
+        io.write_csv(norms_csv, ["s", "norm"], [[s, 2.0**-s] for s in range(1, 13)])
+        assert cli.main(["radius", norms_csv, *window]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         code = cli.main([

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from euler2d import diagnostics, interpolation, lagrangian, spectral
+from euler2d import diagnostics, interpolation, spectral
 from euler2d.errors import ArityError, LayoutError, NonzeroMeanError, SymmetryError
 
 from conftest import random_band_limited
@@ -303,9 +303,6 @@ class TestFullLatticeOracle:
         rng = np.random.default_rng(n)
         positions = np.stack([a, b]) + rng.uniform(-0.1, 0.1, size=(2, n, n))
         carried = rng.normal(size=(n, n))
-        state = lagrangian.DistortedState(
-            positions=positions, lagrangian_vorticity=carried, dt=0.0,
-        )
         points = [(0, 0), (3, n - 1), (n // 2, 7), (n - 1, n // 3)]
         want = max(
             abs(np.real(np.sum(full * np.exp(
@@ -313,5 +310,7 @@ class TestFullLatticeOracle:
                 - carried[i, j])
             for i, j in points
         )
-        got = interpolation.slow_fourier_check(spectral.forward(g), state, points)
+        got = interpolation.slow_fourier_check(
+            spectral.forward(g), positions, carried, points
+        )
         assert got == pytest.approx(want, rel=self.RTOL)
