@@ -8,7 +8,7 @@ Three stages of 1D 12-point Lagrange interpolation:
      points back to the uniform abscissae a_i.
 
 Stencils take 6 nodes on each side of the target and wrap periodically
-(node + period on index wrap).  Barycentric evaluation (Berrut & Trefethen
+(node + 2 pi on index wrap).  Barycentric evaluation (Berrut & Trefethen
 2004) with an exact-node shortcut makes the identity map reproduce inputs.
 
 Each numpy call treats LINES lines at once, laid end to end.  Running
@@ -45,22 +45,22 @@ def _barycentric_denominators(nodes):
     return den
 
 
-def _interp_periodic_lines(nodes, value_rows, targets, period=TWO_PI):
-    """Interpolate along m periodic lines at once.
+def _interp_periodic_lines(nodes, value_rows, targets):
+    """Interpolate along m 2pi-periodic lines at once.
 
     nodes: (m, n), each line strictly increasing over one period (nodes[i +
-    n] = nodes[i] + period).  value_rows: (r, m, n) fields sampled at the
+    n] = nodes[i] + 2pi).  value_rows: (r, m, n) fields sampled at the
     nodes, periodic in the index.  targets: (t,) arbitrary coordinates,
-    shared by all lines; each is reduced mod period into the line's node
+    shared by all lines; each is reduced mod 2pi into the line's node
     range.  Returns (r, m, t).
     """
     r, m, n = value_rows.shape
     # lines extended by HALF nodes on each side, then flattened
     wrap, base = np.divmod(np.arange(-HALF, n + HALF), n)
-    ext = (nodes[:, base] + period * wrap).ravel()
+    ext = (nodes[:, base] + TWO_PI * wrap).ravel()
     den = _barycentric_denominators(ext)
     vals = value_rows[:, :, base].reshape(r, -1)
-    t = nodes[:, :1] + np.mod(targets - nodes[:, :1], period)
+    t = nodes[:, :1] + np.mod(targets - nodes[:, :1], TWO_PI)
     # the stencil of a target in [nodes[n0-1], nodes[n0]) starts at
     # extended index n0, i.e. HALF nodes before the bracket
     n0 = np.stack([np.searchsorted(line, tl, side="right") for line, tl in zip(nodes, t)])

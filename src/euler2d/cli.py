@@ -26,22 +26,23 @@ from .errors import (
 
 
 def _add_run_parser(sub):
-    p = sub.add_parser("run", help="integrate the 2D Euler equation")
-    p.add_argument("--method", choices=runner.METHODS, default="CL")
-    p.add_argument("--order", type=int, default=8, help="Taylor order for CL/ET")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--epsilon", type=float, default=1e-12)
-    p.add_argument("--dt", type=float, default=None,
-                   help="fixed step (RK/ET) or step cap (CL)")
+    # a setting left out is absent from the namespace: RunConfig's default holds
+    p = sub.add_parser("run", help="integrate the 2D Euler equation",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--method", choices=runner.METHODS)
+    p.add_argument("--order", type=int, help="Taylor order for CL/ET")
+    p.add_argument("--n", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--dt", type=float, help="fixed step (RK/ET) or step cap (CL)")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--initial", choices=runner.INITIALS, default="four_mode")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--initial-file", default=None)
+    p.add_argument("--initial", choices=runner.INITIALS)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--initial-file", dest="initial_path", metavar="FILE")
     p.add_argument("--auto-order", action="store_true")
-    p.add_argument("--output-cadence", type=int, default=10)
-    p.add_argument("--radius-cadence", type=int, default=10)
-    p.add_argument("--radius-depth", type=int, default=40)
-    p.add_argument("--checkpoint-cadence", type=int, default=0)
+    p.add_argument("--output-cadence", type=int)
+    p.add_argument("--radius-cadence", type=int)
+    p.add_argument("--radius-depth", type=int)
+    p.add_argument("--checkpoint-cadence", type=int)
     p.add_argument("--output-dir", required=True)
 
 
@@ -55,8 +56,8 @@ def _add_compare_parser(sub):
 def _add_radius_parser(sub):
     p = sub.add_parser("radius", help="fit a norms CSV for the convergence radius")
     p.add_argument("norms_csv")
-    p.add_argument("--s-min", type=int, default=10)
-    p.add_argument("--s-max", type=int, default=None)
+    p.add_argument("--s-min", type=int, default=diagnostics.RADIUS_S_MIN)
+    p.add_argument("--s-max", type=int)
 
 
 def _add_spectrum_parser(sub):
@@ -66,25 +67,11 @@ def _add_spectrum_parser(sub):
 
 
 def _cmd_run(args):
-    config = runner.RunConfig(
-        method=args.method,
-        order=args.order,
-        n=args.n,
-        epsilon=args.epsilon,
-        dt=args.dt,
-        t_end=args.t_end,
-        initial=args.initial,
-        seed=args.seed,
-        initial_path=args.initial_file,
-        auto_order=args.auto_order,
-        output_cadence=args.output_cadence,
-        radius_cadence=args.radius_cadence,
-        radius_depth=args.radius_depth,
-        checkpoint_cadence=args.checkpoint_cadence,
-    )
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "output_dir")}
+    config = runner.RunConfig(**settings)
     artifacts = runner.run(config, output_dir=args.output_dir)
     print(
-        f"{args.method} finished at t={artifacts.t:.6f} "
+        f"{config.method} finished at t={artifacts.t:.6f} "
         f"after {len(artifacts.steps)} steps -> {args.output_dir}"
     )
 
@@ -106,9 +93,8 @@ def _cmd_radius(args):
         raise ConfigError(
             f"{args.norms_csv}: norm column missing or not numeric"
         ) from exc
-    s_max = len(norms) if args.s_max is None else args.s_max
-    report = diagnostics.fit_log_linear(norms, (args.s_min, s_max))
-    estimators = diagnostics.radius_estimators(norms)
+    report = diagnostics.fit_radius(norms, args.s_min, args.s_max)
+    estimators = diagnostics.radius_estimators(norms[: report.fit_window[1]])
     print(f"radius={report.radius:.6f} alpha={report.alpha:.4f} "
           f"beta={report.beta:.4f} gamma={report.gamma:.4f}")
     print(f"hadamard={estimators['hadamard']:.6f} ratio={estimators['ratio']:.6f}")

@@ -14,6 +14,11 @@ import numpy as np
 from . import eulerian, lagrangian, spectral
 from .errors import InsufficientDataError
 
+# first order of the radius fit: lower orders are not yet asymptotic
+RADIUS_S_MIN = 10
+TRANSITION_DECADES = 3.0
+TRANSITION_S_MIN = 4
+
 
 @dataclass
 class FitReport:
@@ -78,17 +83,30 @@ def fit_log_linear(values, window):
     )
 
 
-def radius_estimators(values, tail_fraction=0.5):
+def fit_radius(norms, s_min=RADIUS_S_MIN, s_max=None):
+    """The radius fit of a norm sequence: fit_log_linear over s_min..s_max.
+
+    Without s_max the window stops 5 orders before the rounding-noise
+    transition (detect_transition), but no earlier than s_min + 4, and
+    runs to the end of a sequence with no transition.
+    """
+    if s_max is None:
+        transition = detect_transition(norms)
+        s_max = len(norms) if transition is None else max(transition - 5, s_min + 4)
+    return fit_log_linear(norms, (s_min, s_max))
+
+
+def radius_estimators(values):
     """Classical radius estimators from the coefficient sequence.
 
-    Cauchy-Hadamard over the tail, the last-ratio estimate, and the
+    Cauchy-Hadamard over the second half, the last-ratio estimate, and the
     Domb-Sykes point list (1/s, f_s/f_{s-1}) for external plotting.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2:
         raise InsufficientDataError("need at least 2 coefficients")
     s = np.arange(1, len(values) + 1)
-    tail_start = int(len(values) * (1.0 - tail_fraction))
+    tail_start = len(values) // 2
     roots = values[tail_start:] ** (1.0 / s[tail_start:])
     hadamard = float(1.0 / np.max(roots))
     ratio = float(values[-2] / values[-1])
@@ -131,40 +149,40 @@ def max_discrepancy(a, b):
     return float(np.max(np.abs(a - b)))
 
 
-def detect_transition(values, decades=3.0, s_min=4):
+def detect_transition(values):
     """First order where rounding noise overwhelms the coefficient decay.
 
-    Fits the log-linear trend over the clean stretch (up to the sequence
-    minimum) and returns the first s whose value exceeds the extrapolated
-    trend by the given number of decades, or None.
+    Fits the log-linear trend over the clean stretch (from TRANSITION_S_MIN
+    up to the sequence minimum) and returns the first s whose value exceeds
+    the extrapolated trend by TRANSITION_DECADES, or None.
     """
     values = np.asarray(values, dtype=np.float64)
-    if len(values) < s_min + 3:
+    if len(values) < TRANSITION_S_MIN + 3:
         return None
     positive = values > 0.0
     if not positive.all():
         first_bad = int(np.argmin(positive)) + 1
         values = values[: first_bad - 1]
-        if len(values) < s_min + 3:
+        if len(values) < TRANSITION_S_MIN + 3:
             return None
     s_at_min = int(np.argmin(values)) + 1
     if s_at_min >= len(values):
         return None
-    fit_end = max(s_at_min, s_min + 3)
+    fit_end = max(s_at_min, TRANSITION_S_MIN + 3)
     try:
-        fit = fit_log_linear(values, (s_min, fit_end))
+        fit = fit_log_linear(values, (TRANSITION_S_MIN, fit_end))
     except InsufficientDataError:
         return None
     s = np.arange(1, len(values) + 1)
     trend = np.log(fit.gamma) + fit.alpha * np.log(s) + fit.beta * s
     excess = np.log(values) - trend
-    beyond = np.nonzero((s > s_at_min) & (excess > decades * np.log(10.0)))[0]
+    beyond = np.nonzero((s > s_at_min) & (excess > TRANSITION_DECADES * np.log(10.0)))[0]
     if len(beyond) == 0:
         return None
     return int(s[beyond[0]])
 
 
-def coefficient_norm_probe(omega, s_max_lagrangian, s_max_eulerian, decades=3.0):
+def coefficient_norm_probe(omega, s_max_lagrangian, s_max_eulerian):
     """Deep Taylor-coefficient norm sequences and their transition orders.
 
     Builds, from the same vorticity, the displacement stack (Lagrangian)
@@ -173,10 +191,11 @@ def coefficient_norm_probe(omega, s_max_lagrangian, s_max_eulerian, decades=3.0)
     """
     stack = lagrangian.build_stack(omega, s_max_lagrangian, keep_coeffs=False)
     lag = stack.norm_sequence()
-    et = eulerian.et_coefficients(omega, s_max_eulerian).norm_sequence()
+    et_coeffs = eulerian.et_coefficients(omega, s_max_eulerian)
+    et = np.array([spectral.norm_l2(w) for w in et_coeffs[1:]])
     return {
         "lagrangian_norms": lag,
         "eulerian_norms": et,
-        "lagrangian_transition": detect_transition(lag, decades=decades),
-        "eulerian_transition": detect_transition(et, decades=decades),
+        "lagrangian_transition": detect_transition(lag),
+        "eulerian_transition": detect_transition(et),
     }

@@ -5,28 +5,10 @@ explicit midpoint (RK2), classical RK4, or the Eulerian time-Taylor
 series (ET-S).  Products are formed pseudospectrally and dealiased.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import series, spectral
 from .errors import NumericalError
-
-
-@dataclass
-class EtStack:
-    """Vorticity Taylor coefficients omega_0..omega_S around one instant."""
-
-    coeffs: list
-    norms: list
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def norm_sequence(self):
-        """Norms of omega_1..omega_S (s-indexed from 1, as for displacements)."""
-        return np.asarray(self.norms[1:], dtype=np.float64)
 
 
 def _advection(v_grid, omega):
@@ -72,12 +54,11 @@ def rk4_step(omega, dt):
 
 
 def et_coefficients(omega0, order):
-    """Taylor coefficients from (s+1) w_{s+1} = -sum_m (v_m . grad) w_{s-m}."""
+    """Taylor coefficients [w_0..w_order] from (s+1) w_{s+1} = -sum_m (v_m . grad) w_{s-m}."""
     n = omega0.shape[-2]
     coeffs = [np.array(omega0)]
     v_grids = []
     grad_grids = []
-    norms = [spectral.norm_l2(omega0)]
     for s in range(order):
         # w_s enters the sums from order s+1 on; w_order itself is never read
         v_grids.append(
@@ -93,12 +74,10 @@ def et_coefficients(omega0, order):
         if not np.all(np.isfinite(w_next.view(np.float64))):
             raise NumericalError(f"non-finite ET coefficient at order {s + 1}", order=s + 1)
         coeffs.append(w_next)
-        norms.append(spectral.norm_l2(w_next))
-    return EtStack(coeffs=coeffs, norms=norms)
+    return coeffs
 
 
 def et_step(omega, dt, order):
     """Advance by summing the truncated vorticity Taylor series (Horner)."""
-    stack = et_coefficients(omega, order)
-    acc = series.horner(stack.coeffs, dt)
+    acc = series.horner(et_coefficients(omega, order), dt)
     return _check(spectral.dealias(acc))

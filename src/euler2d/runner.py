@@ -44,6 +44,8 @@ METHODS = ("CL", "RK2", "RK4", "ET")
 INITIALS = ("four_mode", "random", "ab", "file")
 
 MAX_REJECTIONS = 5
+# random-flow modes below this modulus are left at zero
+MODULUS_FLOOR = 1e-18
 
 # glibc mallopt (M_MMAP_THRESHOLD, 32 MiB) and (M_TRIM_THRESHOLD, 64 MiB)
 _HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
@@ -99,7 +101,6 @@ class RunArtifacts:
     steps: list = dc_field(default_factory=list)
     conservation: list = dc_field(default_factory=list)  # (step, t, E, Z)
     radius_series: list = dc_field(default_factory=list)  # (step, t, radius)
-    output_dir: str | None = None
 
 
 def make_four_mode(n):
@@ -122,7 +123,7 @@ def make_ab_flow(n):
     return s
 
 
-def make_random_flow(n, seed, modulus_floor=1e-18):
+def make_random_flow(n, seed):
     """Shell-prescribed moduli 2 K^(7/2) e^(-K^2/4) / N(K), random phases.
 
     Phases are i.i.d. uniform on [0, 2pi) from a seeded PCG64 generator,
@@ -138,25 +139,22 @@ def make_random_flow(n, seed, modulus_floor=1e-18):
     # members of each shell K <= |k| < K+1 inside the dealias square
     k = np.arange(-kc, kc + 1)
     shells = np.floor(np.hypot(k[:, None], k)).astype(np.int64)
-    shell_counts = np.bincount(shells.ravel())
-    # fixed half-lattice traversal (k1 > 0, or k1 == 0 and k2 > 0)
-    for k1 in range(0, kc + 1):
-        for k2 in range(-kc, kc + 1):
-            if k1 == 0 and k2 <= 0:
-                continue
-            shell = int(np.floor(np.hypot(k1, k2)))
-            if shell < 1 or shell > kc:
-                continue
-            count = shell_counts[shell]
-            modulus = 2.0 * shell**3.5 * np.exp(-(shell**2) / 4.0) / count
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            if modulus < modulus_floor:
-                continue
-            value = modulus * np.exp(1j * phase)
-            if k2 >= 0:
-                s[k1 % n, k2] = value
-            if k2 <= 0:
-                s[(-k1) % n, -k2] = np.conj(value)
+    counts = np.bincount(shells.ravel())
+    moduli = np.array([2.0 * K**3.5 * np.exp(-(K**2) / 4.0) / counts[K] for K in range(kc + 1)])
+    # the half lattice (k1 > 0, or k1 == 0 and k2 > 0) in k1-major order,
+    # shells 1..kc: one phase per member, drawn in that order
+    k1, k2 = np.meshgrid(np.arange(kc + 1), k, indexing="ij")
+    shell = shells[kc:]
+    member = ((k1 > 0) | (k2 > 0)) & (shell >= 1) & (shell <= kc)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=np.count_nonzero(member))
+    modulus = moduli[shell[member]]
+    kept = modulus >= MODULUS_FLOOR
+    k1, k2 = k1[member][kept], k2[member][kept]
+    value = modulus[kept] * np.exp(1j * phase[kept])
+    upper = k2 >= 0
+    s[k1[upper], k2[upper]] = value[upper]
+    lower = k2 <= 0
+    s[-k1[lower] % n, -k2[lower]] = np.conj(value[lower])
     return s
 
 
@@ -179,14 +177,12 @@ def initial_vorticity(config):
     return omega
 
 
-def radius_probe(omega, depth=40, s_min=10):
+def radius_probe(omega, depth):
     """Fit the L2-norm series of a deep displacement stack; returns
     (FitReport or None, norm sequence)."""
     norms = lagrangian.build_stack(omega, depth, keep_coeffs=False).norm_sequence()
-    transition = diagnostics.detect_transition(norms)
-    s_max = len(norms) if transition is None else max(transition - 5, s_min + 4)
     try:
-        report = diagnostics.fit_log_linear(norms, (s_min, s_max))
+        report = diagnostics.fit_radius(norms)
     except InsufficientDataError:
         return None, norms
     return report, norms
@@ -196,7 +192,6 @@ class _OutputWriter:
     """Accumulates run outputs and flushes files under the output directory."""
 
     def __init__(self, config, output_dir):
-        self.config = config
         self.dir = output_dir
         if output_dir is not None:
             os.makedirs(output_dir, exist_ok=True)
@@ -212,14 +207,14 @@ class _OutputWriter:
         path = os.path.join(self.dir, "fields", f"omega_{step:06d}.field")
         io.write_field(path, spectral.inverse(omega, check=False), t)
 
-    def spectrum(self, step, omega, t):
+    def spectrum(self, step, omega):
         if self.dir is None:
             return
         shells = diagnostics.vorticity_spectrum(omega).shells
         path = os.path.join(self.dir, f"spectrum_{step:06d}.csv")
         io.write_csv(path, ["K", "E_omega"], list(enumerate(shells)))
 
-    def norms(self, step, t, norms):
+    def norms(self, step, norms):
         if self.dir is None:
             return
         path = os.path.join(self.dir, f"norms_{step:06d}.csv")
@@ -289,14 +284,14 @@ def run(config, output_dir=None):
     _hold_freed_heap()
     omega = initial_vorticity(config)
     writer = _OutputWriter(config, output_dir)
-    artifacts = RunArtifacts(config=config, omega=omega, t=0.0, output_dir=output_dir)
+    artifacts = RunArtifacts(config=config, omega=omega, t=0.0)
 
     def record_diagnostics(step, omega, t):
         artifacts.conservation.append(
             (step, t, diagnostics.energy(omega), diagnostics.enstrophy(omega))
         )
         writer.field(step, omega, t)
-        writer.spectrum(step, omega, t)
+        writer.spectrum(step, omega)
 
     # a failed run still writes the records of the steps it completed
     try:
@@ -344,7 +339,7 @@ def _run_cl(config, omega, artifacts, writer, record_diagnostics):
         nonlocal r_estimate
         if config.radius_cadence and step % config.radius_cadence == 0:
             report, norms = radius_probe(omega, config.radius_depth)
-            writer.norms(step, t, norms)
+            writer.norms(step, norms)
             if report is not None:
                 r_estimate = report.radius
                 artifacts.radius_series.append((step, t, report.radius))

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ArityError, LayoutError, NonzeroMeanError, SymmetryError
 
 HERMITIAN_TOL = 1e-12
+MEAN_TOL = 1e-13
 
 
 def grid_coordinates(n):
@@ -136,8 +137,8 @@ def forward(g):
     return np.fft.rfft2(g, norm="forward")
 
 
-def is_hermitian(s, tol=HERMITIAN_TOL):
-    """Whether the self-conjugate columns hold conjugate pairs, to tol.
+def is_hermitian(s):
+    """Whether the self-conjugate columns hold conjugate pairs, to HERMITIAN_TOL.
 
     Only the k2 = 0 column and, for even n, the Nyquist column k2 = n/2
     store both k and -k, so no other mode can break the symmetry and the
@@ -148,7 +149,7 @@ def is_hermitian(s, tol=HERMITIAN_TOL):
     cols = s[..., [0, n // 2]] if n % 2 == 0 else s[..., :1]
     partner = np.conj(np.roll(cols[..., ::-1, :], shift=1, axis=-2))
     scale = max(np.max(np.abs(cols)), 1.0)
-    return np.max(np.abs(cols - partner)) <= tol * scale
+    return np.max(np.abs(cols - partner)) <= HERMITIAN_TOL * scale
 
 
 def inverse(s, check=True):
@@ -189,7 +190,7 @@ def calderon_zygmund(s, i, j):
     return -s * (k[i] * k[j]) * _inverse_laplacian_multiplier(n)
 
 
-def velocity_from_vorticity(omega, mean_tol=1e-13):
+def velocity_from_vorticity(omega):
     """Divergence-free velocity with curl(v) = omega.
 
     v = (-d/db, d/da) psi with psi the zero-mean solution of lap(psi) = omega.
@@ -197,10 +198,10 @@ def velocity_from_vorticity(omega, mean_tol=1e-13):
     if omega.ndim != 2:
         raise ArityError("vorticity must be scalar")
     n = _grid_size(omega)
-    # |mean| > mean_tol * max(max|omega|, 1), without the O(n^2) max when
-    # the mean is already below mean_tol
+    # |mean| > MEAN_TOL * max(max|omega|, 1), without the O(n^2) max when
+    # the mean is already below MEAN_TOL
     mean = np.abs(omega[0, 0])
-    if mean > mean_tol and mean > mean_tol * np.max(np.abs(omega)):
+    if mean > MEAN_TOL and mean > MEAN_TOL * np.max(np.abs(omega)):
         raise NonzeroMeanError("mean vorticity must vanish on the torus")
     v = derivative_multipliers(n)[::-1] * inverse_laplacian(omega)
     v[0] = -v[0]

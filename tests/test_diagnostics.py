@@ -54,6 +54,30 @@ class TestFitLogLinear:
             diagnostics.fit_log_linear(np.ones(10), (s_min, 10))
 
 
+class TestFitRadius:
+    def test_window_stops_before_noise_transition(self):
+        s = np.arange(1, 81)
+        values = np.exp(-0.6 * s) + 1e-14 * 1.2**s
+        transition = diagnostics.detect_transition(values)
+        report = diagnostics.fit_radius(values)
+        assert report.fit_window == (diagnostics.RADIUS_S_MIN, transition - 5)
+        # the noise tail, fitted too, would pull R far below e^0.6
+        full = diagnostics.fit_log_linear(values, (diagnostics.RADIUS_S_MIN, 80))
+        assert abs(np.log(report.radius) - 0.6) < abs(np.log(full.radius) - 0.6)
+
+    def test_explicit_s_max_wins(self):
+        s = np.arange(1, 81)
+        values = np.exp(-0.6 * s) + 1e-14 * 1.2**s
+        assert diagnostics.fit_radius(values, 8, 70).fit_window == (8, 70)
+        assert diagnostics.fit_radius(values, s_max=20).fit_window == (10, 20)
+
+    def test_clean_sequence_fitted_to_its_end(self):
+        values = np.exp(-0.4 * np.arange(1, 41))
+        report = diagnostics.fit_radius(values)
+        assert report.fit_window == (diagnostics.RADIUS_S_MIN, 40)
+        assert report.radius == pytest.approx(np.exp(0.4), rel=1e-12)
+
+
 class TestRadiusEstimators:
     def test_geometric(self):
         values = 2.0 ** -np.arange(1, 31)

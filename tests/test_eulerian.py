@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from euler2d import eulerian, runner, spectral
+from euler2d import diagnostics, eulerian, runner, spectral
 
 
 def _ab(n=64):
@@ -85,19 +85,24 @@ class TestRungeKutta:
 
 class TestTaylorCoefficients:
     def test_steady_flow_vanishes(self):
-        stack = eulerian.et_coefficients(_ab(), 6)
+        coeffs = eulerian.et_coefficients(_ab(), 6)
         for s in range(1, 7):
-            assert np.max(np.abs(stack.coeffs[s])) < 1e-15
+            assert np.max(np.abs(coeffs[s])) < 1e-15
 
     def test_first_coefficient_is_rhs(self):
         omega = runner.make_four_mode(64)
-        stack = eulerian.et_coefficients(omega, 1)
-        np.testing.assert_allclose(stack.coeffs[1], eulerian.rhs(omega), atol=1e-16)
+        coeffs = eulerian.et_coefficients(omega, 1)
+        np.testing.assert_allclose(coeffs[1], eulerian.rhs(omega), atol=1e-16)
 
     def test_norm_sequence_shape(self):
-        stack = eulerian.et_coefficients(runner.make_four_mode(64), 5)
-        assert stack.order == 5
-        assert len(stack.norm_sequence()) == 5
+        omega = runner.make_four_mode(64)
+        coeffs = eulerian.et_coefficients(omega, 5)
+        assert len(coeffs) == 6
+        np.testing.assert_array_equal(coeffs[0], omega)
+        # the norms of w_1..w_S, s-indexed from 1 as for displacements
+        probe = diagnostics.coefficient_norm_probe(omega, 5, 5)
+        assert len(probe["eulerian_norms"]) == 5
+        assert probe["eulerian_norms"][0] == spectral.norm_l2(coeffs[1])
 
     def test_et8_matches_fine_rk4(self):
         """Cross-method oracle: one order-8 Taylor step against RK4 with an

@@ -93,8 +93,8 @@ class TestBuildStack:
 
         def velocity_at(t, pos):
             w = np.zeros_like(omega)
-            for s in range(et.order, -1, -1):
-                w = w * t + et.coeffs[s]
+            for c in reversed(et):
+                w = w * t + c
             vs = spectral.velocity_from_vorticity(w)
             return [_fourier_eval(vs[0], *pos), _fourier_eval(vs[1], *pos)]
 

@@ -380,6 +380,25 @@ class TestCli:
         norms_csv = os.path.join(out, "norms_000000.csv")
         assert cli.main(["radius", norms_csv, "--s-min", "8"]) == 0
 
+    def test_radius_matches_run_probe(self, tmp_path, capsys):
+        # the offline fit reads the same orders as the run's own probe
+        out = str(tmp_path / "cl")
+        assert cli.main([
+            "run", "--method", "CL", "--n", "32", "--t-end", "0.1", "--output-dir", out,
+        ]) == 0
+        _, rows = io.read_csv(os.path.join(out, "radius.csv"))
+        assert rows[0][0] == 0
+        capsys.readouterr()
+        assert cli.main(["radius", os.path.join(out, "norms_000000.csv")]) == 0
+        assert f"radius={rows[0][2]:.6f} " in capsys.readouterr().out
+
+    def test_run_defaults_are_run_configs(self, tmp_path):
+        cli_dir = tmp_path / "cli"
+        assert cli.main(["run", "--t-end", "0", "--output-dir", str(cli_dir)]) == 0
+        runner.run(runner.RunConfig(t_end=0.0), str(tmp_path / "lib"))
+        want = (tmp_path / "lib" / "config.txt").read_text()
+        assert (cli_dir / "config.txt").read_text() == want
+
     def test_radius_non_positive_norm_exit_code(self, tmp_path, capsys):
         norms_csv = str(tmp_path / "norms.csv")
         norms = [0.5, 0.25, 0.0, 0.0625, 0.03125, 0.015625]
@@ -526,7 +545,7 @@ class TestCli:
 
 
 def test_radius_probe_reports_fit():
-    report, norms = runner.radius_probe(runner.make_four_mode(128), depth=30, s_min=8)
+    report, norms = runner.radius_probe(runner.make_four_mode(128), depth=30)
     assert report is not None
     assert len(norms) == 30
     assert 0.8 < report.radius < 1.6
