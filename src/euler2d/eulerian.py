@@ -11,23 +11,10 @@ from . import series, spectral
 from .errors import NumericalError
 
 
-def _advection(v_grid, omega):
-    """dealias(F[(v . grad) omega]) with v given on the grid."""
-    grad = spectral.inverse(spectral.gradient(omega), check=False)
-    prod = v_grid[0] * grad[0] + v_grid[1] * grad[1]
-    out = spectral.dealias(spectral.forward(prod))
-    # mean of v.grad(omega) vanishes analytically; drop the rounding residue
-    out[0, 0] = 0.0
-    return out
-
-
 def rhs(omega):
-    """Right-hand side -(v . grad) omega of the vorticity equation."""
-    v = spectral.inverse(spectral.velocity_from_vorticity(omega), check=False)
-    out = -_advection(v, omega)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise NumericalError("non-finite advection term")
-    return out
+    """Right-hand side -(v . grad) omega of the vorticity equation: the
+    Taylor coefficient w_1, so that RK and ET share one advection operator."""
+    return et_coefficients(omega, 1)[1]
 
 
 def _check(omega):
@@ -55,8 +42,7 @@ def rk4_step(omega, dt):
 
 def et_coefficients(omega0, order):
     """Taylor coefficients [w_0..w_order] from (s+1) w_{s+1} = -sum_m (v_m . grad) w_{s-m}."""
-    n = omega0.shape[-2]
-    coeffs = [np.array(omega0)]
+    coeffs = [omega0]
     v_grids = []
     grad_grids = []
     for s in range(order):
@@ -65,14 +51,16 @@ def et_coefficients(omega0, order):
             spectral.inverse(spectral.velocity_from_vorticity(coeffs[s]), check=False)
         )
         grad_grids.append(spectral.inverse(spectral.gradient(coeffs[s]), check=False))
-        acc = np.zeros((n, n))
-        for m in range(s + 1):
+        acc = v_grids[0][0] * grad_grids[s][0] + v_grids[0][1] * grad_grids[s][1]
+        for m in range(1, s + 1):
             g = grad_grids[s - m]
             acc += v_grids[m][0] * g[0] + v_grids[m][1] * g[1]
-        w_next = -spectral.dealias(spectral.forward(acc)) / (s + 1)
+        w_next = spectral.dealias(spectral.forward(acc))
+        w_next /= -(s + 1)
+        # the mean of an advection sum vanishes analytically; drop the rounding residue
         w_next[0, 0] = 0.0
         if not np.all(np.isfinite(w_next.view(np.float64))):
-            raise NumericalError(f"non-finite ET coefficient at order {s + 1}", order=s + 1)
+            raise NumericalError(f"non-finite advection term at order {s + 1}", order=s + 1)
         coeffs.append(w_next)
     return coeffs
 

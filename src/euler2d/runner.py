@@ -8,8 +8,9 @@ step's initial vorticity grid from those positions by cascade
 interpolation, restart from the new Eulerian field.  Eulerian methods march
 with a fixed dt, each stepper mapping the spectral vorticity to the next.
 The stages pass plain arrays.  One loop, ``_march``, drives every method
-and owns t; ``_run_cl`` and ``_run_eulerian`` only supply its per-step
-``advance``.
+and owns t and the step rows; ``_run_cl`` and ``_run_eulerian`` only supply
+its per-step ``advance``.  One ``_Record`` holds the run's artifacts and
+writes its files.
 
 A step's Taylor stack, particle positions and reverted grid are locals of
 ``_cl_step``, so they are freed when the step returns, before the next step
@@ -188,67 +189,59 @@ def radius_probe(omega, depth):
     return report, norms
 
 
-class _OutputWriter:
-    """Accumulates run outputs and flushes files under the output directory."""
+class _Record:
+    """A run's record: the artifacts it returns and, when given an output
+    directory, the files it writes there."""
 
-    def __init__(self, config, output_dir):
+    def __init__(self, config, omega, output_dir):
+        self.artifacts = RunArtifacts(config=config, omega=omega, t=0.0)
         self.dir = output_dir
-        if output_dir is not None:
-            os.makedirs(output_dir, exist_ok=True)
-            os.makedirs(os.path.join(output_dir, "fields"), exist_ok=True)
-            io.write_config(
-                os.path.join(output_dir, "config.txt"),
-                {k: v for k, v in asdict(config).items() if v is not None},
-            )
+        self._write("fields", os.makedirs, exist_ok=True)
+        settings = {k: v for k, v in asdict(config).items() if v is not None}
+        self._write("config.txt", io.write_config, settings)
 
-    def field(self, step, omega, t):
-        if self.dir is None:
-            return
-        path = os.path.join(self.dir, "fields", f"omega_{step:06d}.field")
-        io.write_field(path, spectral.inverse(omega, check=False), t)
+    def _write(self, name, write, *args, **kwargs):
+        """write(path, ...) for name under the output directory, if there is one."""
+        if self.dir is not None:
+            write(os.path.join(self.dir, name), *args, **kwargs)
 
-    def spectrum(self, step, omega):
-        if self.dir is None:
-            return
-        shells = diagnostics.vorticity_spectrum(omega).shells
-        path = os.path.join(self.dir, f"spectrum_{step:06d}.csv")
-        io.write_csv(path, ["K", "E_omega"], list(enumerate(shells)))
+    def state(self, step, omega, t):
+        """Conservation row, field file and spectrum of the state at t."""
+        self.artifacts.conservation.append(
+            (step, t, diagnostics.energy(omega), diagnostics.enstrophy(omega))
+        )
+        self._write(f"fields/omega_{step:06d}.field", _write_grid, omega, t)
+        self._write(f"spectrum_{step:06d}.csv", _write_spectrum, omega)
 
-    def norms(self, step, norms):
-        if self.dir is None:
-            return
-        path = os.path.join(self.dir, f"norms_{step:06d}.csv")
-        io.write_csv(path, ["s", "norm"], list(zip(range(1, len(norms) + 1), norms)))
+    def probe(self, step, t, report, norms):
+        """Norms of a radius probe, and its radius when the fit succeeded."""
+        rows = enumerate(norms, 1)
+        self._write(f"norms_{step:06d}.csv", io.write_csv, ["s", "norm"], rows)
+        if report is not None:
+            self.artifacts.radius_series.append((step, t, report.radius))
 
     def checkpoint(self, omega, t):
-        if self.dir is None:
-            return
-        io.write_field(
-            os.path.join(self.dir, "checkpoint.field"),
-            spectral.inverse(omega, check=False),
-            t,
-        )
+        self._write("checkpoint.field", _write_grid, omega, t)
 
-    def finish(self, artifacts):
-        if self.dir is None:
-            return
-        io.write_csv(
-            os.path.join(self.dir, "conservation.csv"),
-            ["step", "t", "energy", "enstrophy"],
-            artifacts.conservation,
-        )
-        io.write_csv(
-            os.path.join(self.dir, "radius.csv"),
-            ["step", "t", "radius"],
-            artifacts.radius_series,
-        )
-        if artifacts.steps:
-            keys = list(artifacts.steps[0].keys())
-            io.write_csv(
-                os.path.join(self.dir, "steps.csv"),
-                keys,
-                [[rec[k] for k in keys] for rec in artifacts.steps],
-            )
+    def close(self):
+        """Write the conservation, radius and step CSVs."""
+        art = self.artifacts
+        header = ["step", "t", "energy", "enstrophy"]
+        self._write("conservation.csv", io.write_csv, header, art.conservation)
+        header = ["step", "t", "radius"]
+        self._write("radius.csv", io.write_csv, header, art.radius_series)
+        if art.steps:
+            rows = [row.values() for row in art.steps]
+            self._write("steps.csv", io.write_csv, list(art.steps[0]), rows)
+
+
+def _write_grid(path, omega, t):
+    io.write_field(path, spectral.inverse(omega, check=False), t)
+
+
+def _write_spectrum(path, omega):
+    shells = diagnostics.vorticity_spectrum(omega).shells
+    io.write_csv(path, ["K", "E_omega"], list(enumerate(shells)))
 
 
 def _hold_freed_heap():
@@ -283,75 +276,65 @@ def run(config, output_dir=None):
     config.validate()
     _hold_freed_heap()
     omega = initial_vorticity(config)
-    writer = _OutputWriter(config, output_dir)
-    artifacts = RunArtifacts(config=config, omega=omega, t=0.0)
-
-    def record_diagnostics(step, omega, t):
-        artifacts.conservation.append(
-            (step, t, diagnostics.energy(omega), diagnostics.enstrophy(omega))
-        )
-        writer.field(step, omega, t)
-        writer.spectrum(step, omega)
-
+    record = _Record(config, omega, output_dir)
+    method = _run_cl if config.method == "CL" else _run_eulerian
     # a failed run still writes the records of the steps it completed
     try:
-        record_diagnostics(0, omega, 0.0)
-        if config.method == "CL":
-            omega, t = _run_cl(config, omega, artifacts, writer, record_diagnostics)
-        else:
-            omega, t = _run_eulerian(
-                config, omega, artifacts, writer, record_diagnostics
-            )
-        if artifacts.conservation[-1][1] != t:
-            record_diagnostics(len(artifacts.steps), omega, t)
-        artifacts.omega = omega
-        artifacts.t = t
+        record.state(0, omega, 0.0)
+        method(config, omega, record)
     finally:
-        writer.finish(artifacts)
-    return artifacts
+        record.close()
+    return record.artifacts
 
 
-def _march(config, omega, advance, artifacts, writer, record_diagnostics):
+def _march(config, omega, advance, record):
     """The step loop of every method, from t = 0 to t_end.
 
-    advance(omega, step, t) -> (omega, dt, record) takes step number
-    step + 1.  The loop owns t, the step count, the step records and the
-    output and checkpoint cadences.
+    advance(omega, step, t) -> (omega, dt, fields) takes step number
+    step + 1; fields holds the step-row entries that the method knows, over
+    the defaults below.  The loop owns t, the step count, the step rows, the
+    output and checkpoint cadences and the record of the final state.
     """
     t = 0.0
     step = 0
     while t < config.t_end - 1e-12:
-        omega, dt, record = advance(omega, step, t)
+        omega, dt, fields = advance(omega, step, t)
         t += dt
         step += 1
-        artifacts.steps.append(record)
+        record.artifacts.steps.append({
+            "step": step, "t": t, "dt": dt, "dt_unclipped": config.dt,
+            "order": config.order, "truncation_term": 0.0,
+            "jacobian_min": 1.0, "rejections": 0, **fields,
+        })
         if config.output_cadence and step % config.output_cadence == 0:
-            record_diagnostics(step, omega, t)
+            record.state(step, omega, t)
         if config.checkpoint_cadence and step % config.checkpoint_cadence == 0:
-            writer.checkpoint(omega, t)
-    return omega, t
+            record.checkpoint(omega, t)
+    if record.artifacts.conservation[-1][1] != t:
+        record.state(step, omega, t)
+    record.artifacts.omega = omega
+    record.artifacts.t = t
 
 
-def _run_cl(config, omega, artifacts, writer, record_diagnostics):
-    r_estimate = None
+def _run_cl(config, omega, record):
+    radii = record.artifacts.radius_series
 
     def advance(omega, step, t):
-        nonlocal r_estimate
         if config.radius_cadence and step % config.radius_cadence == 0:
             report, norms = radius_probe(omega, config.radius_depth)
-            writer.norms(step, norms)
-            if report is not None:
-                r_estimate = report.radius
-                artifacts.radius_series.append((step, t, report.radius))
+            record.probe(step, t, report, norms)
+        # the latest fitted radius caps the step
+        r_estimate = radii[-1][2] if radii else None
         return _cl_step(config, omega, step, t, r_estimate)
 
-    return _march(config, omega, advance, artifacts, writer, record_diagnostics)
+    _march(config, omega, advance, record)
 
 
 def _cl_step(config, omega, step, t, r_estimate):
     """Lagrangian step number step + 1 from (omega, t).
 
-    Returns the new spectral vorticity, the dt taken and the step record.
+    Returns the new spectral vorticity, the dt taken and the CL fields of
+    the step row.
     """
     if config.auto_order:
         amplitude = spectral.norm_l2(spectral.velocity_from_vorticity(omega))
@@ -389,9 +372,6 @@ def _cl_step(config, omega, step, t, r_estimate):
     if not np.all(np.isfinite(new_omega.view(np.float64))):
         raise NumericalError(f"non-finite vorticity after step {step + 1}")
     return new_omega, dt, {
-        "step": step + 1,
-        "t": t + dt,
-        "dt": dt,
         "dt_unclipped": dt_raw,
         "order": order,
         "truncation_term": stack.norms[order] * dt**order,
@@ -400,22 +380,19 @@ def _cl_step(config, omega, step, t, r_estimate):
     }
 
 
-def _run_eulerian(config, omega, artifacts, writer, record_diagnostics):
-    stepper = {
-        "RK2": eulerian.rk2_step,
-        "RK4": eulerian.rk4_step,
-        "ET": lambda omega, dt: eulerian.et_step(omega, dt, config.order),
+def _run_eulerian(config, omega, record):
+    # each row records the method's own order; RunConfig.order is ET's
+    stepper, fields = {
+        "RK2": (eulerian.rk2_step, {"order": 2}),
+        "RK4": (eulerian.rk4_step, {"order": 4}),
+        "ET": (lambda omega, dt: eulerian.et_step(omega, dt, config.order), {}),
     }[config.method]
 
     def advance(omega, step, t):
         dt = min(config.dt, config.t_end - t)
-        return stepper(omega, dt), dt, {
-            "step": step + 1, "t": t + dt, "dt": dt, "dt_unclipped": config.dt,
-            "order": config.order, "truncation_term": 0.0,
-            "jacobian_min": 1.0, "rejections": 0,
-        }
+        return stepper(omega, dt), dt, fields
 
-    return _march(config, omega, advance, artifacts, writer, record_diagnostics)
+    _march(config, omega, advance, record)
 
 
 def compare_dirs(dir_a, dir_b, out_path=None):

@@ -266,6 +266,48 @@ class TestRunLoop:
         else:
             assert not norms
 
+    @pytest.mark.parametrize(
+        "method, order",
+        [
+            ({"method": "CL"}, None),
+            ({"method": "RK4", "dt": 0.05}, 4),
+            ({"method": "ET", "order": 6, "dt": 0.05}, 6),
+        ],
+        ids=["CL", "RK4", "ET"],
+    )
+    def test_step_rows_share_one_schema(self, tmp_path, method, order):
+        # an Eulerian row takes the loop's defaults for what only CL
+        # measures, and records the order of its own method
+        out = tmp_path / "run"
+        config = runner.RunConfig(**method, n=32, t_end=0.1, radius_cadence=0)
+        runner.run(config, output_dir=str(out))
+        header, rows = io.read_csv(str(out / "steps.csv"))
+        assert header == [
+            "step", "t", "dt", "dt_unclipped", "order",
+            "truncation_term", "jacobian_min", "rejections",
+        ]
+        if order is None:
+            return
+        for row in rows:
+            got = dict(zip(header, row))
+            assert got["order"] == order
+            assert got["truncation_term"] == 0.0
+            assert got["jacobian_min"] == 1.0
+            assert got["rejections"] == 0
+
+    def test_auto_order_run(self):
+        # the first step's order is the controller's choice for the initial
+        # amplitude (14 for the four-mode flow at epsilon = 1e-12)
+        config = runner.RunConfig(
+            method="CL", n=64, t_end=0.5, auto_order=True, radius_cadence=0
+        )
+        art = runner.run(config)
+        omega0 = runner.initial_vorticity(config)
+        amplitude = spectral.norm_l2(spectral.velocity_from_vorticity(omega0))
+        want = lagrangian.step_order_controller(config.epsilon, amplitude)
+        assert art.steps[0]["order"] == want
+        assert art.t == pytest.approx(0.5, abs=1e-12)
+
     def test_radius_cap_binds(self, monkeypatch):
         # a reported radius of 0.05 caps every step at 0.05 e^-2, well below
         # the truncation step of the four-mode flow
