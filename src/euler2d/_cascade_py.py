@@ -11,6 +11,9 @@ Stencils take 6 nodes on each side of the target and wrap periodically
 (node + 2 pi on index wrap).  Barycentric evaluation (Berrut & Trefethen
 2004) with an exact-node shortcut makes the identity map reproduce inputs.
 
+Both sweeps first check that their node lines increase strictly over one
+period; a fold raises ReversionError, whose report lists the folded lines.
+
 Each numpy call treats LINES lines at once, laid end to end.  Running
 products of node differences give each node's barycentric denominator in
 every stencil position; the stencil sum gathers node, denominator and values
@@ -18,6 +21,8 @@ at start + k, k = 0..11, and accumulates in place in per-target arrays.
 """
 
 import numpy as np
+
+from .errors import ReversionError
 
 TWO_PI = 2.0 * np.pi
 STENCIL = 12
@@ -92,29 +97,39 @@ def _interp_periodic_lines(nodes, value_rows, targets):
     return num.reshape(r, m, -1)
 
 
+def _check_increasing(lines, kind):
+    """Raise ReversionError unless each row of lines increases strictly over
+    one period: along the row, and across the wrap (first + 2pi > last)."""
+    ok = np.all(np.diff(lines, axis=1) > 0.0, axis=1) & (lines[:, 0] + TWO_PI > lines[:, -1])
+    report = np.flatnonzero(~ok).tolist()
+    if report:
+        raise ReversionError(
+            f"monotonicity violated on {len(report)} {kind} line(s)", report=report
+        )
+
+
+def _sweep(nodes, value_rows, targets):
+    """_interp_periodic_lines over all m lines of nodes, LINES at a time."""
+    r, m, _ = value_rows.shape
+    out = np.empty((r, m, targets.size))
+    for i in range(0, m, LINES):
+        s = slice(i, i + LINES)
+        out[:, s] = _interp_periodic_lines(nodes[s], value_rows[:, s], targets)
+    return out
+
+
 def cascade(x, y, w):
     """Revert vorticity from the distorted grid to the uniform grid.
 
     x, y: (n, n) raw arrival coordinates indexed [i, j] (vertical line i,
     node j along it); w: (n, n) vorticity carried by the particles.
-    Returns the (n, n) vorticity on the uniform grid, or raises ValueError
-    when the hybrid abscissae are not strictly increasing.
+    Returns the (n, n) vorticity on the uniform grid, or raises
+    ReversionError when a vertical or a horizontal line folds.
     """
     n = x.shape[0]
     b = TWO_PI * np.arange(n) / n
-    x_hybrid, w_hybrid = np.empty((2, n, n))
-    for i in range(0, n, LINES):
-        s = slice(i, i + LINES)
-        x_hybrid[s], w_hybrid[s] = _interp_periodic_lines(y[s], np.stack([x[s], w[s]]), b)
-
+    _check_increasing(y, "vertical")
+    x_hybrid, w_hybrid = _sweep(y, np.stack([x, w]), b)
     # horizontal line j holds the hybrid points x_hybrid[:, j]
-    lines = np.ascontiguousarray(x_hybrid.T)
-    w_lines = np.ascontiguousarray(w_hybrid.T)
-    bad = np.any(np.diff(lines, axis=1) <= 0.0, axis=1) | (lines[:, 0] + TWO_PI <= lines[:, -1])
-    if np.any(bad):
-        raise ValueError(f"hybrid abscissae not strictly increasing on line {np.argmax(bad)}")
-    out = np.empty((n, n))
-    for j in range(0, n, LINES):
-        s = slice(j, j + LINES)
-        out[s] = _interp_periodic_lines(lines[s], w_lines[None, s], b)[0]
-    return np.ascontiguousarray(out.T)
+    _check_increasing(x_hybrid.T, "horizontal")
+    return np.ascontiguousarray(_sweep(x_hybrid.T, w_hybrid.T[None], b)[0].T)

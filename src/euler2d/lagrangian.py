@@ -172,12 +172,11 @@ def jacobian_determinant(stack, dt):
 def step_order_controller(epsilon, amplitude):
     """Pick the truncation order from epsilon and the velocity amplitude A.
 
-    The order sits in the bracket [-(1/2) ln(eps/A), -ln(eps/A)].  The dt cap
-    R*e^-2 that goes with it is applied in runner._cl_step.
+    The order sits at the low end of the bracket [-(1/2) ln(eps/A), -ln(eps/A)],
+    since the nonlinear-sum cost dominates at these resolutions, and never
+    below 2: where the bracket lies below 2 (A < e^2 eps, a rest state
+    included) the order is 2.  The dt cap R*e^-2 that goes with it is applied
+    in runner._cl_step.
     """
     a = max(amplitude, epsilon)
-    lo = -np.log(epsilon / a) / 2.0
-    hi = -np.log(epsilon / a)
-    # nonlinear-sum cost dominates at these resolutions: sit at the low end
-    order = max(int(np.ceil(lo)), 2)
-    return int(np.clip(order, 2, np.ceil(hi)))
+    return max(int(np.ceil(-np.log(epsilon / a) / 2.0)), 2)

@@ -16,27 +16,38 @@ def _deformed(n, amp, field):
 
 
 class TestMonotonicity:
+    """The kernel's one rule, reached through the reversion layer."""
+
     def test_identity(self):
+        # neither sweep's lines fold, and every target is a node
         n = 32
         a, b = spectral.grid_coordinates(n)
-        ok, report = interpolation.check_monotonicity(np.stack([a, b]))
-        assert ok
-        assert report == []
+        w = np.random.default_rng(25).normal(size=(n, n))
+        assert np.array_equal(interpolation.cascade_revert(np.stack([a, b]), w), w)
 
     def test_folded_map(self):
         n = 32
         a, b = spectral.grid_coordinates(n)
-        y = b + 2.0 * np.sin(b)  # dy/db changes sign: folds every line
-        ok, report = interpolation.check_monotonicity(np.stack([a, y]))
-        assert not ok
-        assert len(report) == n
+        y = b + 2.0 * np.sin(b)  # dy/db changes sign: folds every vertical line
+        with pytest.raises(ReversionError, match="vertical") as info:
+            interpolation.cascade_revert(np.stack([a, y]), a)
+        assert info.value.report == list(range(n))
+        # line 5 increases along its length but overruns one period, so it
+        # folds across the wrap
+        y = b.copy()
+        y[5] *= 1.1
+        with pytest.raises(ReversionError, match="1 vertical") as info:
+            interpolation.cascade_revert(np.stack([a, y]), a)
+        assert info.value.report == [5]
 
     def test_revert_raises_on_fold(self):
+        # vertical lines intact, so the hybrid abscissae are x itself, which
+        # folds along every horizontal line
         n = 32
         a, b = spectral.grid_coordinates(n)
-        with pytest.raises(ReversionError) as info:
-            interpolation.cascade_revert(np.stack([a, b + 2.0 * np.sin(b)]), a)
-        assert info.value.report
+        with pytest.raises(ReversionError, match="horizontal") as info:
+            interpolation.cascade_revert(np.stack([a + 2.0 * np.sin(a), b]), a)
+        assert info.value.report == list(range(n))
 
 
 class TestCascadeKernel:
@@ -86,8 +97,9 @@ class TestCascadeKernel:
         n = 64
         a, b = spectral.grid_coordinates(n)
         x = np.ascontiguousarray(a + 2.0 * np.sin(a))  # folds along rows
-        with pytest.raises(ValueError):
+        with pytest.raises(ReversionError) as info:
             _cascade_py.cascade(x, np.ascontiguousarray(b), np.ascontiguousarray(a))
+        assert info.value.report
 
 
 def _plain_line(nodes, values, targets, width=12):
@@ -151,6 +163,31 @@ def test_nan_vorticity_fails_the_run(monkeypatch, tmp_path):
     config = runner.RunConfig(method="CL", n=32, t_end=0.05, radius_cadence=0)
     with pytest.raises(NumericalError):
         runner.run(config, output_dir=str(tmp_path / "run"))
+
+
+def test_folds_in_both_sweeps_are_rejected(monkeypatch):
+    """CL order 2 at epsilon = 1 takes steps that fold the map; the run
+    halves dt until the reversion succeeds.  Both sweeps reject a step on
+    the way, and every rejection reports the lines that fold."""
+    errors = []
+    revert = interpolation.cascade_revert
+
+    def recording(positions, vorticity):
+        try:
+            return revert(positions, vorticity)
+        except ReversionError as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(interpolation, "cascade_revert", recording)
+    config = runner.RunConfig(
+        method="CL", order=2, epsilon=1.0, n=32, t_end=2.0, radius_cadence=0
+    )
+    art = runner.run(config)
+    assert art.t == pytest.approx(2.0, abs=1e-12)
+    kinds = {kind for exc in errors for kind in ("vertical", "horizontal") if kind in str(exc)}
+    assert kinds == {"vertical", "horizontal"}
+    assert all(exc.report for exc in errors)
 
 
 def test_chunk_size_does_not_change_the_result(monkeypatch):

@@ -250,3 +250,9 @@ class TestOrderController:
         lo = -np.log(eps / amp) / 2.0
         hi = -np.log(eps / amp)
         assert lo <= order <= np.ceil(hi)
+
+    def test_order_floor_of_two(self):
+        # where the bracket lies below 2 (A < e^2 eps, a rest state included)
+        # the order stays at 2, so the step's stack is never empty
+        assert lagrangian.step_order_controller(1e-12, 0.0) == 2
+        assert lagrangian.step_order_controller(1e-12, 2e-12) == 2

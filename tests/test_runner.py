@@ -561,9 +561,10 @@ class TestCli:
         code = cli.main(["run", "--t-end", "1", "--output-dir", str(tmp_path / "x")])
         assert code == 5
 
-    @pytest.mark.parametrize("cadence", [[], ["--radius-cadence", "0"]])
+    @pytest.mark.parametrize("cadence", [[], ["--radius-cadence", "0"], ["--auto-order"]])
     def test_rest_state_run(self, tmp_path, cadence):
-        # zero norms put no bound on dt: the run takes one step to t_end
+        # zero norms put no bound on dt: the run takes one step to t_end.
+        # --auto-order picks order 2 for the zero amplitude.
         zero = str(tmp_path / "zero.field")
         io.write_field(zero, np.zeros((32, 32)), 0.0)
         out = tmp_path / "run"
