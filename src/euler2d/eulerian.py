@@ -44,16 +44,16 @@ def et_coefficients(omega0, order):
     """Taylor coefficients [w_0..w_order] from (s+1) w_{s+1} = -sum_m (v_m . grad) w_{s-m}."""
     coeffs = [omega0]
     v_grids = []
-    grad_grids = []
+    grads = []
     for s in range(order):
         # w_s enters the sums from order s+1 on; w_order itself is never read
         v_grids.append(
             spectral.inverse(spectral.velocity_from_vorticity(coeffs[s]), check=False)
         )
-        grad_grids.append(spectral.inverse(spectral.gradient(coeffs[s]), check=False))
-        acc = v_grids[0][0] * grad_grids[s][0] + v_grids[0][1] * grad_grids[s][1]
+        grads.append(spectral.inverse(spectral.gradient(coeffs[s]), check=False))
+        acc = v_grids[0][0] * grads[s][0] + v_grids[0][1] * grads[s][1]
         for m in range(1, s + 1):
-            g = grad_grids[s - m]
+            g = grads[s - m]
             acc += v_grids[m][0] * g[0] + v_grids[m][1] * g[1]
         w_next = spectral.dealias(spectral.forward(acc))
         w_next /= -(s + 1)

@@ -20,9 +20,10 @@ the pairs alone,
 
 where the m = s/2 term, a cross product of a gradient with itself, vanishes.
 That takes about 2(s-1) grid products for the curl instead of 4(s-1).
-"""
 
-from dataclasses import dataclass, field
+A step's Taylor stack is the three zero-based lists that build_stack returns,
+entry s - 1 holding order s; the stages after it read those lists directly.
+"""
 
 import numpy as np
 
@@ -30,70 +31,38 @@ from . import series, spectral
 from .errors import NumericalError, StateError, StepTooLargeError
 
 
-@dataclass
-class TaylorStack:
-    """Displacement Taylor coefficients xi^(1)..xi^(S) for one step.
-
-    coeffs[s] is the spectral vector field of xi^(s) (1-based dict-like list:
-    index 0 is unused), or None in a stack built with keep_coeffs=False.
-    grad_grids[s][k][j] caches d_j xi_k^(s) on the grid; the recurrence
-    consumes only these gradients.
-    """
-
-    n: int
-    coeffs: list = field(default_factory=lambda: [None])
-    grad_grids: list = field(default_factory=lambda: [None])
-    norms: list = field(default_factory=lambda: [None])
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def append(self, xi_spec, keep_coeffs=True):
-        grads = np.stack(
-            [spectral.inverse(spectral.gradient(xi_spec[k]), check=False) for k in (0, 1)]
-        )
-        self.coeffs.append(xi_spec if keep_coeffs else None)
-        self.grad_grids.append(grads)
-        self.norms.append(spectral.norm_l2(xi_spec))
-
-    def norm_sequence(self):
-        """Norms as an array indexed from s=1."""
-        return np.asarray(self.norms[1:], dtype=np.float64)
-
-
-def next_coefficient(stack, omega_init, s):
-    """Compute xi^(s) from coefficients 1..s-1 and the initial vorticity."""
-    if s != len(stack.coeffs):
+def next_coefficient(grads, omega_init, s):
+    """Compute xi^(s) from the initial vorticity and grads, the grid
+    gradients of orders 1..s-1 (grads[m - 1] holds order m)."""
+    if len(grads) != s - 1:
         raise StateError(f"coefficients 1..{s - 1} must be present to build order {s}")
-    n = stack.n
+    n = omega_init.shape[-2]
     ik1, ik2 = spectral.derivative_multipliers(n)
     if s == 1:
         psi = spectral.inverse_laplacian(omega_init)
         return np.stack([-ik2 * psi, ik1 * psi])
 
-    curl_src, div_src = _recurrence_sources(stack.grad_grids, s, n)
-    curl_hat = spectral.dealias(spectral.forward(curl_src))
-    div_hat = spectral.dealias(spectral.forward(div_src))
-    psi = spectral.inverse_laplacian(curl_hat)
-    phi = spectral.inverse_laplacian(div_hat)
+    # src stays bound until the return: freed before the products below, its block is split
+    # by their temporaries and the heap grows by one src per order (CL8, N=256: +7 MB RSS)
+    src = _recurrence_sources(grads, s, n)
+    psi, phi = spectral.inverse_laplacian(spectral.dealias(spectral.forward(src)))
     return np.stack([ik1 * phi - ik2 * psi, ik1 * psi + ik2 * phi])
 
 
 def _recurrence_sources(grads, s, n):
-    """Grid right-hand sides (curl, div) of the order-s recurrence.
+    """Grid right-hand sides [curl, div] of the order-s recurrence, one (2, n, n) array.
 
     The curl sum runs over the pairs m > s/2 with weight (2m - s)/s (module
     docstring); both sums accumulate in place through two n x n buffers,
-    which are freed before the transforms that follow.
+    which are freed before the transform that follows.
     """
     tmp = np.empty((n, n))
     pair = np.empty((n, n))
-    curl_src = np.zeros((n, n))
-    div_src = np.zeros((n, n))
+    src = np.zeros((2, n, n))
+    curl_src, div_src = src
     for m in range(s // 2 + 1, s):
-        gm = grads[m]
-        gc = grads[s - m]
+        gm = grads[m - 1]
+        gc = grads[s - m - 1]
         np.multiply(gm[0, 0], gc[0, 1], out=pair)
         pair -= np.multiply(gm[0, 1], gc[0, 0], out=tmp)
         pair += np.multiply(gm[1, 0], gc[1, 1], out=tmp)
@@ -101,29 +70,36 @@ def _recurrence_sources(grads, s, n):
         pair *= (2 * m - s) / s
         curl_src -= pair
     for m in range(1, s):
-        gm = grads[m]
-        gc = grads[s - m]
+        gm = grads[m - 1]
+        gc = grads[s - m - 1]
         div_src -= np.multiply(gm[0, 0], gc[1, 1], out=tmp)
         div_src += np.multiply(gm[0, 1], gc[1, 0], out=tmp)
-    return curl_src, div_src
+    return src
 
 
 def build_stack(omega_init, order, keep_coeffs=True):
-    """Populate a TaylorStack to the requested order.
+    """Displacement Taylor stack to the requested order, as (coeffs, grads, norms).
 
-    Every coefficient, xi^(1) = v0 included, comes from the recurrence.
+    Entry s - 1 of each holds order s: coeffs the spectral (2, n, n//2+1)
+    xi^(s), grads its (2, 2, n, n) grid gradients with [k, j] = d_j xi_k,
+    norms (a float array) its L2 norm.  Every coefficient, xi^(1) = v0
+    included, comes from the recurrence, which reads the gradients alone.
     NaN in any coefficient aborts with the order.  With keep_coeffs=False
-    each xi^(s) is dropped once its norm and gradients are taken, for a
-    caller that reads only the norms: the recurrence reads the gradients
-    alone, so the norms do not change.
+    coeffs stays empty, for a caller that reads only the norms; the norms
+    do not change.
     """
-    stack = TaylorStack(n=omega_init.shape[-2])
+    coeffs, grads, norms = [], [], []
     for s in range(1, order + 1):
-        xi = next_coefficient(stack, omega_init, s)
+        xi = next_coefficient(grads, omega_init, s)
         if not np.all(np.isfinite(xi.view(np.float64))):
             raise NumericalError(f"non-finite Taylor coefficient at order {s}", order=s)
-        stack.append(xi, keep_coeffs)
-    return stack
+        grads.append(np.stack(
+            [spectral.inverse(spectral.gradient(xi[k]), check=False) for k in (0, 1)]
+        ))
+        norms.append(spectral.norm_l2(xi))
+        if keep_coeffs:
+            coeffs.append(xi)
+    return coeffs, grads, np.asarray(norms, dtype=np.float64)
 
 
 # Fractional shortfall keeping norms[S]*dt^S strictly below epsilon in floats.
@@ -148,24 +124,27 @@ def choose_step(norms, epsilon, dt_cap=np.inf):
     return float(min(dt, dt_cap))
 
 
-def evaluate_displacement(stack, dt):
-    """Sum the truncated series at dt; returns the (2, n, n) raw (unwrapped)
-    positions a + xi_S(a, dt)."""
-    if stack.order < 1:
-        raise StateError("stack is empty")
-    xi = spectral.inverse(series.horner(stack.coeffs, dt), check=False)
+def evaluate_displacement(coeffs, dt):
+    """Sum xi_S = dt * sum_s xi^(s) dt^(s-1) over build_stack's coeffs;
+    returns the (2, n, n) raw (unwrapped) positions a + xi_S(a, dt)."""
+    if not coeffs:
+        raise StateError("no displacement coefficients to sum")
+    xi = spectral.inverse(dt * series.horner(coeffs, dt), check=False)
     max_disp = np.max(np.abs(xi))
     if max_disp >= np.pi:
         raise StepTooLargeError(
             f"displacement max-norm {max_disp:.3f} exceeds half a period"
         )
-    a1, a2 = spectral.grid_coordinates(stack.n)
-    return np.stack([a1 + xi[0], a2 + xi[1]])
+    a1, a2 = spectral.grid_coordinates(xi.shape[-1])
+    xi[0] += a1
+    xi[1] += a2
+    return xi
 
 
-def jacobian_determinant(stack, dt):
-    """det(I + grad xi_S) on the grid; equals 1 to truncation error."""
-    g = series.horner(stack.grad_grids, dt)
+def jacobian_determinant(grads, dt):
+    """det(I + grad xi_S) on the grid from build_stack's grads; equals 1 to
+    truncation error."""
+    g = dt * series.horner(grads, dt)
     return (1.0 + g[0, 0]) * (1.0 + g[1, 1]) - g[0, 1] * g[1, 0]
 
 

@@ -89,7 +89,8 @@ class RunConfig:
             raise ConfigError(f"{self.method} requires a fixed dt")
         if self.initial == "file" and not self.initial_path:
             raise ConfigError("initial=file requires initial_path")
-        for name in ("output_cadence", "radius_cadence", "checkpoint_cadence"):
+        for name in ("seed", "output_cadence", "radius_cadence", "radius_depth",
+                     "checkpoint_cadence"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
 
@@ -181,7 +182,7 @@ def initial_vorticity(config):
 def radius_probe(omega, depth):
     """Fit the L2-norm series of a deep displacement stack; returns
     (FitReport or None, norm sequence)."""
-    norms = lagrangian.build_stack(omega, depth, keep_coeffs=False).norm_sequence()
+    _, _, norms = lagrangian.build_stack(omega, depth, keep_coeffs=False)
     try:
         report = diagnostics.fit_radius(norms)
     except InsufficientDataError:
@@ -341,9 +342,7 @@ def _cl_step(config, omega, step, t, r_estimate):
         order = lagrangian.step_order_controller(config.epsilon, amplitude)
     else:
         order = config.order
-    stack = lagrangian.build_stack(omega, order)
-
-    norms = stack.norm_sequence()
+    coeffs, grads, norms = lagrangian.build_stack(omega, order)
     dt_cap = config.dt if config.dt else np.inf
     if r_estimate is not None:
         dt_cap = min(dt_cap, r_estimate * np.exp(-2.0))
@@ -357,7 +356,7 @@ def _cl_step(config, omega, step, t, r_estimate):
     rejections = 0
     while True:
         try:
-            positions = lagrangian.evaluate_displacement(stack, dt)
+            positions = lagrangian.evaluate_displacement(coeffs, dt)
             reverted = interpolation.cascade_revert(positions, omega_grid)
             break
         except (StepTooLargeError, ReversionError):
@@ -366,7 +365,7 @@ def _cl_step(config, omega, step, t, r_estimate):
                 raise
             dt *= 0.5
 
-    jac = lagrangian.jacobian_determinant(stack, dt)
+    jac = lagrangian.jacobian_determinant(grads, dt)
     new_omega = spectral.dealias(spectral.forward(reverted))
     new_omega[0, 0] = 0.0
     if not np.all(np.isfinite(new_omega.view(np.float64))):
@@ -374,7 +373,7 @@ def _cl_step(config, omega, step, t, r_estimate):
     return new_omega, dt, {
         "dt_unclipped": dt_raw,
         "order": order,
-        "truncation_term": stack.norms[order] * dt**order,
+        "truncation_term": norms[-1] * dt**order,
         "jacobian_min": float(np.min(jac)),
         "rejections": rejections,
     }

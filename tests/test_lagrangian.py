@@ -20,36 +20,39 @@ class TestBuildStack:
     def test_zero_velocity(self):
         n = 32
         omega = np.zeros((n, n // 2 + 1), dtype=complex)
-        stack = lagrangian.build_stack(omega, 6)
-        for s in range(1, 7):
-            assert np.all(stack.coeffs[s] == 0.0)
+        coeffs, _, _ = lagrangian.build_stack(omega, 6)
+        assert len(coeffs) == 6
+        for c in coeffs:
+            assert np.all(c == 0.0)
 
     def test_first_order_is_velocity(self):
         omega = runner.make_four_mode(64)
         v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(omega, 1)
-        assert stack.norms[1] == pytest.approx(spectral.norm_l2(v), rel=1e-14)
-        np.testing.assert_array_equal(stack.coeffs[1], v)
+        coeffs, _, norms = lagrangian.build_stack(omega, 1)
+        assert norms[0] == pytest.approx(spectral.norm_l2(v), rel=1e-14)
+        np.testing.assert_array_equal(coeffs[0], v)
 
     def test_out_of_sequence_rejected(self):
         omega = runner.make_four_mode(64)
-        stack = lagrangian.build_stack(omega, 3)
+        _, grads, _ = lagrangian.build_stack(omega, 3)
         with pytest.raises(StateError):
-            lagrangian.next_coefficient(stack, omega, 6)
+            lagrangian.next_coefficient(grads, omega, 6)
 
     def test_norms_only_stack_matches_full_stack(self):
         omega = runner.make_four_mode(64)
-        full = lagrangian.build_stack(omega, 40).norm_sequence()
-        lean = lagrangian.build_stack(omega, 40, keep_coeffs=False)
-        assert all(c is None for c in lean.coeffs)
-        np.testing.assert_array_equal(lean.norm_sequence(), full)
+        _, _, full = lagrangian.build_stack(omega, 40)
+        lean_coeffs, lean_grads, lean_norms = lagrangian.build_stack(
+            omega, 40, keep_coeffs=False
+        )
+        assert lean_coeffs == []
+        assert len(lean_grads) == 40
+        np.testing.assert_array_equal(lean_norms, full)
         _, probe_norms = runner.radius_probe(omega, 40)
         np.testing.assert_array_equal(probe_norms, full)
 
     def test_steady_flow_norms_decay(self):
         omega = runner.make_ab_flow(64)
-        stack = lagrangian.build_stack(omega, 8)
-        norms = stack.norm_sequence()
+        _, _, norms = lagrangian.build_stack(omega, 8)
         assert np.all(np.isfinite(norms))
         # geometric decay: every ratio well below 1 on this smooth flow
         assert np.all(norms[1:] / norms[:-1] < 0.75)
@@ -58,17 +61,17 @@ class TestBuildStack:
         """Independent curl/div assembly for orders 2..5 on the 4-mode flow."""
         n = 64
         omega = runner.make_four_mode(n)
-        stack = lagrangian.build_stack(omega, 5)
+        coeffs, _, _ = lagrangian.build_stack(omega, 5)
         for s in range(2, 6):
             curl_src = np.zeros((n, n))
             div_src = np.zeros((n, n))
             for m in range(1, s):
                 gm = [
-                    spectral.inverse(spectral.gradient(stack.coeffs[m][k]))
+                    spectral.inverse(spectral.gradient(coeffs[m - 1][k]))
                     for k in (0, 1)
                 ]
                 gc = [
-                    spectral.inverse(spectral.gradient(stack.coeffs[s - m][k]))
+                    spectral.inverse(spectral.gradient(coeffs[s - m - 1][k]))
                     for k in (0, 1)
                 ]
                 for k in (0, 1):
@@ -76,8 +79,8 @@ class TestBuildStack:
                 div_src -= gm[0][0] * gc[1][1] - gm[0][1] * gc[1][0]
             want_curl = spectral.dealias(spectral.forward(curl_src))
             want_div = spectral.dealias(spectral.forward(div_src))
-            got_curl = spectral.curl(stack.coeffs[s])
-            got_div = spectral.divergence(stack.coeffs[s])
+            got_curl = spectral.curl(coeffs[s - 1])
+            got_div = spectral.divergence(coeffs[s - 1])
             np.testing.assert_allclose(got_curl, want_curl, atol=1e-13)
             np.testing.assert_allclose(got_div, want_div, atol=1e-13)
 
@@ -88,7 +91,7 @@ class TestBuildStack:
         n = 64
         dt = 0.05
         omega = runner.make_four_mode(n)
-        stack = lagrangian.build_stack(omega, 12)
+        coeffs, _, _ = lagrangian.build_stack(omega, 12)
         et = eulerian.et_coefficients(omega, 12)
 
         def velocity_at(t, pos):
@@ -98,7 +101,7 @@ class TestBuildStack:
             vs = spectral.velocity_from_vorticity(w)
             return [_fourier_eval(vs[0], *pos), _fourier_eval(vs[1], *pos)]
 
-        positions = lagrangian.evaluate_displacement(stack, dt)
+        positions = lagrangian.evaluate_displacement(coeffs, dt)
         a1, a2 = spectral.grid_coordinates(n)
         rng = np.random.default_rng(11)
         for _ in range(6):
@@ -115,16 +118,17 @@ class TestBuildStack:
             assert np.max(np.abs(got - sol.y[:, -1])) < 1e-10
 
 
-def _unpaired_coefficient(stack, omega, s):
+def _unpaired_coefficient(grads, omega, s):
     """xi^(s) from the recurrence with every m = 1..s-1 of the curl sum
-    formed on its own, as written in the lagrangian module docstring."""
-    n = stack.n
+    formed on its own, as written in the lagrangian module docstring;
+    grads[m - 1] holds the grid gradients of order m."""
+    n = omega.shape[-2]
     ik1, ik2 = spectral.derivative_multipliers(n)
     curl_src = np.zeros((n, n))
     div_src = np.zeros((n, n))
     for m in range(1, s):
-        gm = stack.grad_grids[m]
-        gc = stack.grad_grids[s - m]
+        gm = grads[m - 1]
+        gc = grads[s - m - 1]
         w = m / s
         for k in (0, 1):
             curl_src -= w * (gm[k, 0] * gc[k, 1] - gm[k, 1] * gc[k, 0])
@@ -138,18 +142,17 @@ def _unpaired_coefficient(stack, omega, s):
 
 @pytest.mark.parametrize("flow", ["four_mode", "random"])
 def test_paired_recurrence_matches_unpaired_oracle(flow):
-    """Every coefficient from next_coefficient equals the unpaired m-sum,
-    orders 2..40 at n = 64, to 1e-13 relative in L2."""
+    """Every coefficient of the stack equals the unpaired m-sum on the
+    stack's own lower orders, orders 2..40 at n = 64, to 1e-13 relative
+    in L2."""
     n = 64
     omega = runner.make_four_mode(n) if flow == "four_mode" else runner.make_random_flow(n, 5)
-    stack = lagrangian.TaylorStack(n=n)
-    stack.append(spectral.velocity_from_vorticity(omega))
+    coeffs, grads, _ = lagrangian.build_stack(omega, 40)
     for s in range(2, 41):
-        got = lagrangian.next_coefficient(stack, omega, s)
-        want = _unpaired_coefficient(stack, omega, s)
+        got = coeffs[s - 1]
+        want = _unpaired_coefficient(grads[: s - 1], omega, s)
         rel = spectral.norm_l2(got - want) / spectral.norm_l2(want)
         assert rel <= 1e-13, f"order {s}: relative L2 distance {rel:.2e}"
-        stack.append(got)
 
 
 class TestChooseStep:
@@ -181,8 +184,8 @@ class TestEvaluateDisplacement:
         return lagrangian.build_stack(runner.make_four_mode(n), order)
 
     def test_zero_dt(self):
-        stack = self._stack()
-        positions = lagrangian.evaluate_displacement(stack, 0.0)
+        coeffs, _, _ = self._stack()
+        positions = lagrangian.evaluate_displacement(coeffs, 0.0)
         a1, a2 = spectral.grid_coordinates(64)
         np.testing.assert_array_equal(positions[0], a1)
         np.testing.assert_array_equal(positions[1], a2)
@@ -191,18 +194,24 @@ class TestEvaluateDisplacement:
         n = 64
         omega = runner.make_four_mode(n)
         v = spectral.velocity_from_vorticity(omega)
-        stack = lagrangian.build_stack(omega, 1)
+        coeffs, _, _ = lagrangian.build_stack(omega, 1)
         dt = 0.2
-        positions = lagrangian.evaluate_displacement(stack, dt)
+        positions = lagrangian.evaluate_displacement(coeffs, dt)
         a1, a2 = spectral.grid_coordinates(n)
         vg = spectral.inverse(v, check=False)
         np.testing.assert_allclose(positions[0], a1 + dt * vg[0], atol=1e-13)
         np.testing.assert_allclose(positions[1], a2 + dt * vg[1], atol=1e-13)
 
     def test_huge_step_rejected(self):
-        stack = self._stack()
+        coeffs, _, _ = self._stack()
         with pytest.raises(StepTooLargeError):
-            lagrangian.evaluate_displacement(stack, 20.0)
+            lagrangian.evaluate_displacement(coeffs, 20.0)
+
+    def test_no_coefficients_rejected(self):
+        # a stack built with keep_coeffs=False has no coefficients to sum
+        coeffs, _, _ = lagrangian.build_stack(runner.make_four_mode(32), 2, keep_coeffs=False)
+        with pytest.raises(StateError):
+            lagrangian.evaluate_displacement(coeffs, 0.1)
 
     def test_steady_flow_trajectories(self):
         """On the steady single-mode flow the trajectories are closed orbits
@@ -210,8 +219,8 @@ class TestEvaluateDisplacement:
         n = 128
         dt = 0.1
         omega = runner.make_ab_flow(n)
-        stack = lagrangian.build_stack(omega, 16)
-        positions = lagrangian.evaluate_displacement(stack, dt)
+        coeffs, _, _ = lagrangian.build_stack(omega, 16)
+        positions = lagrangian.evaluate_displacement(coeffs, dt)
 
         def velocity_at(_t, pos):
             x, y = pos
@@ -236,8 +245,8 @@ class TestEvaluateDisplacement:
             assert np.max(np.abs(got - sol.y[:, -1])) < 1e-9
 
     def test_jacobian_near_one(self):
-        stack = self._stack()
-        jac = lagrangian.jacobian_determinant(stack, 0.05)
+        _, grads, _ = self._stack()
+        jac = lagrangian.jacobian_determinant(grads, 0.05)
         assert np.max(np.abs(jac - 1.0)) < 1e-8
         assert np.all(jac > 0.0)
 

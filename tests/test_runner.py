@@ -128,6 +128,8 @@ class TestConfigValidation:
             {"epsilon": float("inf")},
             {"method": "RK4", "dt": float("nan")},
             {"dt": float("inf")},
+            {"initial": "random", "seed": -1},
+            {"radius_depth": -3},
         ],
     )
     def test_rejected(self, kwargs):
@@ -349,9 +351,12 @@ class TestRunLoop:
         build = lagrangian.build_stack
 
         def tracked(*args, **kwargs):
-            alive_at_entry.append(sum(ref() is not None for ref in built))
+            alive_at_entry.append(
+                sum(any(ref() is not None for ref in refs) for refs in built)
+            )
             stack = build(*args, **kwargs)
-            built.append(weakref.ref(stack))
+            _, grads, _ = stack
+            built.append([weakref.ref(g) for g in grads])
             return stack
 
         monkeypatch.setattr(lagrangian, "build_stack", tracked)
@@ -471,6 +476,15 @@ class TestCli:
             "--output-cadence", "-1", "--output-dir", str(tmp_path / "x"),
         ])
         assert code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        code = cli.main([
+            "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
+            "--initial", "random", "--seed", "-1", "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
