@@ -9,7 +9,8 @@ Three stages of 1D 12-point Lagrange interpolation:
 
 Stencils take 6 nodes on each side of the target and wrap periodically
 (node + 2 pi on index wrap).  Barycentric evaluation (Berrut & Trefethen
-2004) with an exact-node shortcut makes the identity map reproduce inputs.
+2004) makes the identity map reproduce inputs: a target on a node, or so
+close to one that its weight overflows, takes its nearest node's value.
 
 Both sweeps first check that their node lines increase strictly over one
 period; a fold raises ReversionError, whose report lists the folded lines.
@@ -73,9 +74,9 @@ def _interp_periodic_lines(nodes, value_rows, targets):
     t = t.ravel()
     num = np.zeros((r, t.size))
     total, diff, ratio, v = np.zeros((4, t.size))
-    # a target on a node divides by zero and its total turns non-finite.
+    # a target on (or within ~1e-300 of) a node makes its total non-finite.
     # Indices are in range: "clip" only spares take a copy of out.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(STENCIL):
             ext.take(at, out=diff, mode="clip")
             np.subtract(t, diff, out=diff)
@@ -89,11 +90,11 @@ def _interp_periodic_lines(nodes, value_rows, targets):
                 num[c] += v
             at += 1
         num /= total
-    at -= STENCIL
     hits = np.flatnonzero(~np.isfinite(total))
-    for k in range(STENCIL if hits.size else 0):  # hits take their node's value
-        on = hits[ext[at[hits] + k] == t[hits]]
-        num[:, on] = vals[:, at[on] + k]
+    if hits.size:  # hits take the value of their nearest stencil node
+        stencil = at[hits, None] - STENCIL + np.arange(STENCIL)
+        near = np.argmin(np.abs(ext[stencil] - t[hits, None]), axis=1)
+        num[:, hits] = vals[:, stencil[np.arange(hits.size), near]]
     return num.reshape(r, m, -1)
 
 

@@ -189,7 +189,7 @@ def coefficient_norm_probe(omega, s_max_lagrangian, s_max_eulerian):
     and the vorticity stack (Eulerian) and reports each norm sequence with
     its detected rounding-noise transition order.
     """
-    _, _, lag = lagrangian.build_stack(omega, s_max_lagrangian, keep_coeffs=False)
+    _, lag = lagrangian.build_stack(omega, s_max_lagrangian)
     et_coeffs = eulerian.et_coefficients(omega, s_max_eulerian)
     et = np.array([spectral.norm_l2(w) for w in et_coeffs[1:]])
     return {

@@ -21,8 +21,9 @@ the pairs alone,
 where the m = s/2 term, a cross product of a gradient with itself, vanishes.
 That takes about 2(s-1) grid products for the curl instead of 4(s-1).
 
-A step's Taylor stack is the three zero-based lists that build_stack returns,
-entry s - 1 holding order s; the stages after it read those lists directly.
+A step's Taylor stack holds the gradients and norms of xi^(s), not xi^(s): the
+sum xi_S = sum_s dt^s xi^(s) of dealiased, zero-mean terms solves the same
+Helmholtz problem, its curl and div read off the summed gradient g.
 """
 
 import numpy as np
@@ -36,17 +37,24 @@ def next_coefficient(grads, omega_init, s):
     gradients of orders 1..s-1 (grads[m - 1] holds order m)."""
     if len(grads) != s - 1:
         raise StateError(f"coefficients 1..{s - 1} must be present to build order {s}")
-    n = omega_init.shape[-2]
-    ik1, ik2 = spectral.derivative_multipliers(n)
     if s == 1:
-        psi = spectral.inverse_laplacian(omega_init)
-        return np.stack([-ik2 * psi, ik1 * psi])
-
+        return _solve_curl_div(np.stack([omega_init, np.zeros_like(omega_init)]))
     # src stays bound until the return: freed before the products below, its block is split
     # by their temporaries and the heap grows by one src per order (CL8, N=256: +7 MB RSS)
-    src = _recurrence_sources(grads, s, n)
-    psi, phi = spectral.inverse_laplacian(spectral.dealias(spectral.forward(src)))
-    return np.stack([ik1 * phi - ik2 * psi, ik1 * psi + ik2 * phi])
+    src = _recurrence_sources(grads, s, omega_init.shape[-2])
+    return _solve_curl_div(spectral.forward(src))
+
+
+def _solve_curl_div(curl_div):
+    """Spectral xi = perp-grad(psi) + grad(phi), zero-mean psi and phi, whose
+    curl and div are the dealiased spectral curl_div[0] and curl_div[1]."""
+    n = curl_div.shape[-2]
+    ik1, ik2 = spectral.derivative_multipliers(n)
+    psi_phi = curl_div * spectral.dealiased_inverse_laplacian(n)
+    xi = ik1 * psi_phi[::-1]  # (ik1 phi, ik1 psi)
+    xi[0] -= ik2 * psi_phi[0]
+    xi[1] += ik2 * psi_phi[1]
+    return xi
 
 
 def _recurrence_sources(grads, s, n):
@@ -77,29 +85,28 @@ def _recurrence_sources(grads, s, n):
     return src
 
 
-def build_stack(omega_init, order, keep_coeffs=True):
-    """Displacement Taylor stack to the requested order, as (coeffs, grads, norms).
+def build_stack(omega_init, order):
+    """Displacement Taylor stack to the requested order, as (grads, norms).
 
-    Entry s - 1 of each holds order s: coeffs the spectral (2, n, n//2+1)
-    xi^(s), grads its (2, 2, n, n) grid gradients with [k, j] = d_j xi_k,
-    norms (a float array) its L2 norm.  Every coefficient, xi^(1) = v0
-    included, comes from the recurrence, which reads the gradients alone.
-    NaN in any coefficient aborts with the order.  With keep_coeffs=False
-    coeffs stays empty, for a caller that reads only the norms; the norms
-    do not change.
+    Entry s - 1 of each holds order s: grads the (2, 2, n, n) grid gradients
+    of xi^(s) with [k, j] = d_j xi_k, norms (a float array) the L2 norm of
+    xi^(s).  Every coefficient, xi^(1) = v0 included, comes from the
+    recurrence, which reads the gradients alone, and is dropped once its
+    gradients and norm are formed.  NaN in any coefficient aborts with the
+    order.
     """
-    coeffs, grads, norms = [], [], []
+    n = omega_init.shape[-2]
+    grads, norms = [], []
     for s in range(1, order + 1):
         xi = next_coefficient(grads, omega_init, s)
         if not np.all(np.isfinite(xi.view(np.float64))):
             raise NumericalError(f"non-finite Taylor coefficient at order {s}", order=s)
-        grads.append(np.stack(
-            [spectral.inverse(spectral.gradient(xi[k]), check=False) for k in (0, 1)]
-        ))
+        g = np.empty((2, 2, n, n))
+        for k in (0, 1):
+            spectral.inverse(spectral.gradient(xi[k]), check=False, out=g[k])
+        grads.append(g)
         norms.append(spectral.norm_l2(xi))
-        if keep_coeffs:
-            coeffs.append(xi)
-    return coeffs, grads, np.asarray(norms, dtype=np.float64)
+    return grads, np.asarray(norms, dtype=np.float64)
 
 
 # Fractional shortfall keeping norms[S]*dt^S strictly below epsilon in floats.
@@ -124,27 +131,29 @@ def choose_step(norms, epsilon, dt_cap=np.inf):
     return float(min(dt, dt_cap))
 
 
-def evaluate_displacement(coeffs, dt):
-    """Sum xi_S = dt * sum_s xi^(s) dt^(s-1) over build_stack's coeffs;
-    returns the (2, n, n) raw (unwrapped) positions a + xi_S(a, dt)."""
-    if not coeffs:
-        raise StateError("no displacement coefficients to sum")
-    xi = spectral.inverse(dt * series.horner(coeffs, dt), check=False)
+def evaluate_displacement(grads, dt):
+    """Raw (unwrapped) positions a + xi_S(a, dt), shape (2, n, n), and
+    det(I + g) on the grid, from g = grad xi_S summed once over build_stack's grads."""
+    if not grads:
+        raise StateError("no displacement gradients to sum")
+    g = series.horner(grads, dt)
+    g *= dt
+    jac = jacobian_determinant(g)
+    src = np.stack([g[1, 0] - g[0, 1], g[0, 0] + g[1, 1]])
+    del g
+    xi = spectral.inverse(_solve_curl_div(spectral.forward(src)), check=False)
     max_disp = np.max(np.abs(xi))
     if max_disp >= np.pi:
         raise StepTooLargeError(
             f"displacement max-norm {max_disp:.3f} exceeds half a period"
         )
-    a1, a2 = spectral.grid_coordinates(xi.shape[-1])
-    xi[0] += a1
-    xi[1] += a2
-    return xi
+    xi += spectral.grid_coordinates(xi.shape[-1])
+    return xi, jac
 
 
-def jacobian_determinant(grads, dt):
-    """det(I + grad xi_S) on the grid from build_stack's grads; equals 1 to
-    truncation error."""
-    g = dt * series.horner(grads, dt)
+def jacobian_determinant(g):
+    """det(I + g) on the grid for a (2, 2, n, n) displacement gradient g;
+    for the step's grad xi_S it equals 1 to truncation error."""
     return (1.0 + g[0, 0]) * (1.0 + g[1, 1]) - g[0, 1] * g[1, 0]
 
 

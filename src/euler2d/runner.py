@@ -12,10 +12,11 @@ and owns t and the step rows; ``_run_cl`` and ``_run_eulerian`` only supply
 its per-step ``advance``.  One ``_Record`` holds the run's artifacts and
 writes its files.
 
-A step's Taylor stack, particle positions and reverted grid are locals of
+A step's Taylor stack (the grid gradients and norms of its coefficients,
+not the coefficients), particle positions and reverted grid are locals of
 ``_cl_step``, so they are freed when the step returns, before the next step
 (or radius probe) builds its stack.  The radius probe keeps only the norms
-of its deep stack, not its coefficients.
+of its deep stack.
 
 ``run`` sets glibc's allocator policy for the whole process (see
 ``_hold_freed_heap``): blocks under 32 MiB come from the heap, and its free
@@ -182,7 +183,7 @@ def initial_vorticity(config):
 def radius_probe(omega, depth):
     """Fit the L2-norm series of a deep displacement stack; returns
     (FitReport or None, norm sequence)."""
-    _, _, norms = lagrangian.build_stack(omega, depth, keep_coeffs=False)
+    _, norms = lagrangian.build_stack(omega, depth)
     try:
         report = diagnostics.fit_radius(norms)
     except InsufficientDataError:
@@ -342,7 +343,7 @@ def _cl_step(config, omega, step, t, r_estimate):
         order = lagrangian.step_order_controller(config.epsilon, amplitude)
     else:
         order = config.order
-    coeffs, grads, norms = lagrangian.build_stack(omega, order)
+    grads, norms = lagrangian.build_stack(omega, order)
     dt_cap = config.dt if config.dt else np.inf
     if r_estimate is not None:
         dt_cap = min(dt_cap, r_estimate * np.exp(-2.0))
@@ -356,7 +357,7 @@ def _cl_step(config, omega, step, t, r_estimate):
     rejections = 0
     while True:
         try:
-            positions = lagrangian.evaluate_displacement(coeffs, dt)
+            positions, jac = lagrangian.evaluate_displacement(grads, dt)
             reverted = interpolation.cascade_revert(positions, omega_grid)
             break
         except (StepTooLargeError, ReversionError):
@@ -365,7 +366,6 @@ def _cl_step(config, omega, step, t, r_estimate):
                 raise
             dt *= 0.5
 
-    jac = lagrangian.jacobian_determinant(grads, dt)
     new_omega = spectral.dealias(spectral.forward(reverted))
     new_omega[0, 0] = 0.0
     if not np.all(np.isfinite(new_omega.view(np.float64))):

@@ -98,6 +98,12 @@ def dealias_mask(n):
 
 
 @_cached
+def dealiased_inverse_laplacian(n):
+    """Read-only real multiplier of inverse_laplacian after dealias, as one product."""
+    return _frozen(dealias_mask(n).real * _inverse_laplacian_multiplier(n))
+
+
+@_cached
 def half_plane_weights(n):
     """Read-only multiplicity of each stored mode in the full lattice.
 
@@ -152,8 +158,8 @@ def is_hermitian(s):
     return np.max(np.abs(cols - partner)) <= HERMITIAN_TOL * scale
 
 
-def inverse(s, check=True):
-    """Inverse transform to a real grid field.
+def inverse(s, check=True, out=None):
+    """Inverse transform to a real grid field, written into out when given.
 
     Raises SymmetryError when a self-conjugate column is not Hermitian,
     since the represented field would not be real.
@@ -161,7 +167,8 @@ def inverse(s, check=True):
     n = _grid_size(s)
     if check and not is_hermitian(s):
         raise SymmetryError("spectral field is not Hermitian-symmetric")
-    return np.fft.irfft2(s, s=(n, n), norm="forward")
+    # irfft2 is irfftn on these axes, but it drops out= (numpy 2.4)
+    return np.fft.irfftn(s, s=(n, n), axes=(-2, -1), norm="forward", out=out)
 
 
 def dealias(s):

@@ -1,5 +1,7 @@
 """The cascade interpolation kernel and the reversion wrapper."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,12 @@ def test_python_kernel_matches_plain_twelve_point():
     n = 48
     x, y, w, _ = _deformed(n, 0.1, lambda x, y: np.sin(3 * x) * np.cos(5 * y))
     b = 2.0 * np.pi * np.arange(n) / n
-    x_hybrid = np.array([_plain_line(y[i], x[i], b) for i in range(n)])
-    w_hybrid = np.array([_plain_line(y[i], w[i], b) for i in range(n)])
-    want = np.array([_plain_line(x_hybrid[:, j], w_hybrid[:, j], b) for j in range(n)]).T
+    width = _cascade_py.STENCIL
+    x_hybrid = np.array([_plain_line(y[i], x[i], b, width) for i in range(n)])
+    w_hybrid = np.array([_plain_line(y[i], w[i], b, width) for i in range(n)])
+    want = np.array(
+        [_plain_line(x_hybrid[:, j], w_hybrid[:, j], b, width) for j in range(n)]
+    ).T
     assert np.max(np.abs(_cascade_py.cascade(x, y, w) - want)) <= 1e-13
 
 
@@ -138,8 +143,30 @@ def test_exact_and_inexact_hits_in_one_call():
     values = np.random.default_rng(24).normal(size=(2, m, n))
     out = _cascade_py._interp_periodic_lines(nodes, values, b)
     assert np.max(np.abs(out[:, : m // 2] - values[:, : m // 2])) == 0.0
-    want = [[_plain_line(nodes[i], values[c, i], b) for i in range(m // 2, m)] for c in (0, 1)]
+    want = [
+        [_plain_line(nodes[i], values[c, i], b, _cascade_py.STENCIL) for i in range(m // 2, m)]
+        for c in (0, 1)
+    ]
     assert np.max(np.abs(out[:, m // 2 :] - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_targets_within_overflow_range_of_a_node(axis):
+    """A map that moves nodes by 1e-300 leaves some targets so close to a
+    node, without being on it, that their weights overflow: in the second
+    sweep when x moves, in the first when y does.  Such a target takes its
+    nearest node's value, so both revert to the carried field, with no
+    overflow warning."""
+    n = 256
+    a, b = spectral.grid_coordinates(n)
+    w = np.sin(a) * np.cos(b) + 0.3 * np.cos(3 * a + 2 * b)
+    pos = [a, b]
+    pos[axis] = pos[axis] + 1e-300 * np.sin(pos[1 - axis])
+    assert not np.array_equal(pos[axis], (a, b)[axis])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _cascade_py.cascade(*(np.ascontiguousarray(p) for p in pos), w)
+    assert np.max(np.abs(out - w)) <= 1e-15
 
 
 @pytest.mark.parametrize("amp", [0.0, 0.1])
@@ -221,9 +248,9 @@ class TestSlowFourierCheck:
         vorticity to the interpolation accuracy."""
         n = 256
         omega = runner.make_four_mode(n)
-        coeffs, _, norms = lagrangian.build_stack(omega, 8)
+        grads, norms = lagrangian.build_stack(omega, 8)
         dt = lagrangian.choose_step(norms, 1e-12)
-        positions = lagrangian.evaluate_displacement(coeffs, dt)
+        positions, _ = lagrangian.evaluate_displacement(grads, dt)
         grid = spectral.inverse(omega, check=False)
         reverted = spectral.forward(interpolation.cascade_revert(positions, grid))
         rng = np.random.default_rng(23)

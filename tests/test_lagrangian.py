@@ -1,10 +1,12 @@
 """Displacement Taylor coefficients, step selection, and series evaluation."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from euler2d import eulerian, lagrangian, runner, spectral
+from euler2d import diagnostics, eulerian, lagrangian, runner, series, spectral
 from euler2d.errors import StateError, StepTooLargeError
 
 
@@ -16,43 +18,82 @@ def _fourier_eval(s, x, y):
     return np.real(np.sum(w * s * np.exp(1j * (k1 * x + k2 * y))))
 
 
+def _coefficients(omega, order):
+    """The spectral xi^(1..order) that build_stack drops, each rebuilt by
+    next_coefficient from the stack's own lower-order gradients."""
+    grads, _ = lagrangian.build_stack(omega, order)
+    return [lagrangian.next_coefficient(grads[: s - 1], omega, s) for s in range(1, order + 1)]
+
+
+def _flow(name, n):
+    if name == "four_mode":
+        return runner.make_four_mode(n)
+    return runner.initial_vorticity(runner.RunConfig(initial="random", n=n, seed=5))
+
+
 class TestBuildStack:
     def test_zero_velocity(self):
         n = 32
         omega = np.zeros((n, n // 2 + 1), dtype=complex)
-        coeffs, _, _ = lagrangian.build_stack(omega, 6)
-        assert len(coeffs) == 6
-        for c in coeffs:
-            assert np.all(c == 0.0)
+        grads, norms = lagrangian.build_stack(omega, 6)
+        assert len(grads) == 6
+        for g in grads:
+            assert np.all(g == 0.0)
+        np.testing.assert_array_equal(norms, np.zeros(6))
 
     def test_first_order_is_velocity(self):
         omega = runner.make_four_mode(64)
         v = spectral.velocity_from_vorticity(omega)
-        coeffs, _, norms = lagrangian.build_stack(omega, 1)
+        _, norms = lagrangian.build_stack(omega, 1)
         assert norms[0] == pytest.approx(spectral.norm_l2(v), rel=1e-14)
-        np.testing.assert_array_equal(coeffs[0], v)
+        np.testing.assert_array_equal(lagrangian.next_coefficient([], omega, 1), v)
 
     def test_out_of_sequence_rejected(self):
         omega = runner.make_four_mode(64)
-        _, grads, _ = lagrangian.build_stack(omega, 3)
+        grads, _ = lagrangian.build_stack(omega, 3)
         with pytest.raises(StateError):
             lagrangian.next_coefficient(grads, omega, 6)
 
-    def test_norms_only_stack_matches_full_stack(self):
+    def test_probe_norms_match_coefficient_norms(self):
+        """The step's stack, the radius probe and the norm probe report the
+        L2 norms of the coefficients themselves, bit for bit, against an
+        oracle that chains next_coefficient with gradients transformed one
+        component at a time and stacked."""
         omega = runner.make_four_mode(64)
-        _, _, full = lagrangian.build_stack(omega, 40)
-        lean_coeffs, lean_grads, lean_norms = lagrangian.build_stack(
-            omega, 40, keep_coeffs=False
-        )
-        assert lean_coeffs == []
-        assert len(lean_grads) == 40
-        np.testing.assert_array_equal(lean_norms, full)
+        grads, want = [], []
+        for s in range(1, 41):
+            xi = lagrangian.next_coefficient(grads, omega, s)
+            grads.append(np.stack(
+                [spectral.inverse(spectral.gradient(xi[k]), check=False) for k in (0, 1)]
+            ))
+            want.append(spectral.norm_l2(xi))
+        step_grads, norms = lagrangian.build_stack(omega, 40)
+        for got, g in zip(step_grads, grads):
+            np.testing.assert_array_equal(got, g)
+        np.testing.assert_array_equal(norms, want)
         _, probe_norms = runner.radius_probe(omega, 40)
-        np.testing.assert_array_equal(probe_norms, full)
+        np.testing.assert_array_equal(probe_norms, want)
+        lag = diagnostics.coefficient_norm_probe(omega, 40, 2)["lagrangian_norms"]
+        np.testing.assert_array_equal(lag, want)
+
+    def test_no_coefficient_outlives_the_build(self, monkeypatch):
+        refs = []
+        build = lagrangian.next_coefficient
+
+        def tracked(grads, omega, s):
+            xi = build(grads, omega, s)
+            refs.append(weakref.ref(xi))
+            return xi
+
+        monkeypatch.setattr(lagrangian, "next_coefficient", tracked)
+        grads, _ = lagrangian.build_stack(runner.make_four_mode(32), 6)
+        assert len(refs) == 6
+        assert all(ref() is None for ref in refs)
+        assert len(grads) == 6
 
     def test_steady_flow_norms_decay(self):
         omega = runner.make_ab_flow(64)
-        _, _, norms = lagrangian.build_stack(omega, 8)
+        _, norms = lagrangian.build_stack(omega, 8)
         assert np.all(np.isfinite(norms))
         # geometric decay: every ratio well below 1 on this smooth flow
         assert np.all(norms[1:] / norms[:-1] < 0.75)
@@ -61,7 +102,7 @@ class TestBuildStack:
         """Independent curl/div assembly for orders 2..5 on the 4-mode flow."""
         n = 64
         omega = runner.make_four_mode(n)
-        coeffs, _, _ = lagrangian.build_stack(omega, 5)
+        coeffs = _coefficients(omega, 5)
         for s in range(2, 6):
             curl_src = np.zeros((n, n))
             div_src = np.zeros((n, n))
@@ -91,7 +132,7 @@ class TestBuildStack:
         n = 64
         dt = 0.05
         omega = runner.make_four_mode(n)
-        coeffs, _, _ = lagrangian.build_stack(omega, 12)
+        grads, _ = lagrangian.build_stack(omega, 12)
         et = eulerian.et_coefficients(omega, 12)
 
         def velocity_at(t, pos):
@@ -101,7 +142,7 @@ class TestBuildStack:
             vs = spectral.velocity_from_vorticity(w)
             return [_fourier_eval(vs[0], *pos), _fourier_eval(vs[1], *pos)]
 
-        positions = lagrangian.evaluate_displacement(coeffs, dt)
+        positions, _ = lagrangian.evaluate_displacement(grads, dt)
         a1, a2 = spectral.grid_coordinates(n)
         rng = np.random.default_rng(11)
         for _ in range(6):
@@ -147,9 +188,9 @@ def test_paired_recurrence_matches_unpaired_oracle(flow):
     in L2."""
     n = 64
     omega = runner.make_four_mode(n) if flow == "four_mode" else runner.make_random_flow(n, 5)
-    coeffs, grads, _ = lagrangian.build_stack(omega, 40)
+    grads, _ = lagrangian.build_stack(omega, 40)
     for s in range(2, 41):
-        got = coeffs[s - 1]
+        got = lagrangian.next_coefficient(grads[: s - 1], omega, s)
         want = _unpaired_coefficient(grads[: s - 1], omega, s)
         rel = spectral.norm_l2(got - want) / spectral.norm_l2(want)
         assert rel <= 1e-13, f"order {s}: relative L2 distance {rel:.2e}"
@@ -180,38 +221,58 @@ class TestChooseStep:
 
 
 class TestEvaluateDisplacement:
-    def _stack(self, n=64, order=8):
-        return lagrangian.build_stack(runner.make_four_mode(n), order)
+    def _grads(self, n=64, order=8):
+        return lagrangian.build_stack(runner.make_four_mode(n), order)[0]
 
     def test_zero_dt(self):
-        coeffs, _, _ = self._stack()
-        positions = lagrangian.evaluate_displacement(coeffs, 0.0)
+        positions, jac = lagrangian.evaluate_displacement(self._grads(), 0.0)
         a1, a2 = spectral.grid_coordinates(64)
         np.testing.assert_array_equal(positions[0], a1)
         np.testing.assert_array_equal(positions[1], a2)
+        np.testing.assert_array_equal(jac, 1.0)
+
+    def test_rest_state_is_identity(self):
+        n = 32
+        grads, _ = lagrangian.build_stack(np.zeros((n, n // 2 + 1), dtype=complex), 4)
+        positions, jac = lagrangian.evaluate_displacement(grads, 0.3)
+        np.testing.assert_array_equal(positions, spectral.grid_coordinates(n))
+        np.testing.assert_array_equal(jac, 1.0)
+
+    @pytest.mark.parametrize("flow", ["four_mode", "random"])
+    @pytest.mark.parametrize("dt", [0.05, 0.17])
+    def test_matches_coefficient_sum(self, flow, dt):
+        """Positions from the summed gradient equal the truncated series of
+        the coefficients themselves, inverse(sum_s dt^s xi^(s)), to rounding
+        at 2 pi."""
+        n = 128
+        omega = _flow(flow, n)
+        coeffs = _coefficients(omega, 16)
+        want = spectral.inverse(dt * series.horner(coeffs, dt), check=False)
+        want += spectral.grid_coordinates(n)
+        grads, _ = lagrangian.build_stack(omega, 16)
+        positions, _ = lagrangian.evaluate_displacement(grads, dt)
+        assert np.max(np.abs(positions - want)) <= 2e-15
 
     def test_single_term(self):
         n = 64
         omega = runner.make_four_mode(n)
         v = spectral.velocity_from_vorticity(omega)
-        coeffs, _, _ = lagrangian.build_stack(omega, 1)
+        grads, _ = lagrangian.build_stack(omega, 1)
         dt = 0.2
-        positions = lagrangian.evaluate_displacement(coeffs, dt)
+        positions, _ = lagrangian.evaluate_displacement(grads, dt)
         a1, a2 = spectral.grid_coordinates(n)
         vg = spectral.inverse(v, check=False)
         np.testing.assert_allclose(positions[0], a1 + dt * vg[0], atol=1e-13)
         np.testing.assert_allclose(positions[1], a2 + dt * vg[1], atol=1e-13)
 
     def test_huge_step_rejected(self):
-        coeffs, _, _ = self._stack()
         with pytest.raises(StepTooLargeError):
-            lagrangian.evaluate_displacement(coeffs, 20.0)
+            lagrangian.evaluate_displacement(self._grads(), 20.0)
 
     def test_no_coefficients_rejected(self):
-        # a stack built with keep_coeffs=False has no coefficients to sum
-        coeffs, _, _ = lagrangian.build_stack(runner.make_four_mode(32), 2, keep_coeffs=False)
+        # an empty stack has no gradients to sum
         with pytest.raises(StateError):
-            lagrangian.evaluate_displacement(coeffs, 0.1)
+            lagrangian.evaluate_displacement([], 0.1)
 
     def test_steady_flow_trajectories(self):
         """On the steady single-mode flow the trajectories are closed orbits
@@ -219,8 +280,8 @@ class TestEvaluateDisplacement:
         n = 128
         dt = 0.1
         omega = runner.make_ab_flow(n)
-        coeffs, _, _ = lagrangian.build_stack(omega, 16)
-        positions = lagrangian.evaluate_displacement(coeffs, dt)
+        grads, _ = lagrangian.build_stack(omega, 16)
+        positions, _ = lagrangian.evaluate_displacement(grads, dt)
 
         def velocity_at(_t, pos):
             x, y = pos
@@ -245,8 +306,10 @@ class TestEvaluateDisplacement:
             assert np.max(np.abs(got - sol.y[:, -1])) < 1e-9
 
     def test_jacobian_near_one(self):
-        _, grads, _ = self._stack()
-        jac = lagrangian.jacobian_determinant(grads, 0.05)
+        grads = self._grads()
+        _, jac = lagrangian.evaluate_displacement(grads, 0.05)
+        g = 0.05 * series.horner(grads, 0.05)
+        np.testing.assert_array_equal(lagrangian.jacobian_determinant(g), jac)
         assert np.max(np.abs(jac - 1.0)) < 1e-8
         assert np.all(jac > 0.0)
 

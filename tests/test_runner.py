@@ -355,7 +355,7 @@ class TestRunLoop:
                 sum(any(ref() is not None for ref in refs) for refs in built)
             )
             stack = build(*args, **kwargs)
-            _, grads, _ = stack
+            grads, _ = stack
             built.append([weakref.ref(g) for g in grads])
             return stack
 
