@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 configuration or input error (including a path
 that is missing, taken, of the wrong kind or not permitted), 3 numerical failure
 (including a step that stays too large after the allowed halvings), 4
 reversion failure, 5 any other solver error (every Euler2DError
-subclass ends in one of these codes, never in a traceback).
+subclass ends in one of these codes, never in a traceback), 6 out of memory
+(a run's message names n, the order and the radius depth).
 """
 
 import argparse
@@ -69,7 +70,11 @@ def _add_spectrum_parser(sub):
 def _cmd_run(args):
     settings = {k: v for k, v in vars(args).items() if k not in ("command", "output_dir")}
     config = runner.RunConfig(**settings)
-    artifacts = runner.run(config, output_dir=args.output_dir)
+    try:
+        artifacts = runner.run(config, output_dir=args.output_dir)
+    except MemoryError:
+        raise MemoryError(f"n={config.n}, order {config.order}, "
+                          f"radius depth {config.radius_depth}") from None
     print(
         f"{config.method} finished at t={artifacts.t:.6f} "
         f"after {len(artifacts.steps)} steps -> {args.output_dir}"
@@ -102,12 +107,10 @@ def _cmd_radius(args):
 
 def _cmd_spectrum(args):
     values, t = io.read_field(args.field_file)
-    if values.ndim != 2:
-        raise ConfigError("spectrum expects a scalar field file")
-    shells = diagnostics.vorticity_spectrum(spectral.forward(values)).shells
     os.makedirs(args.output_dir, exist_ok=True)
     out = os.path.join(args.output_dir, "spectrum.csv")
-    io.write_csv(out, ["K", "E_omega"], list(enumerate(shells)))
+    # the writer of the run's spectrum_*.csv, so that the two formats agree
+    shells = runner._write_spectrum(out, spectral.forward(values))
     print(f"wrote {out} (t={t:g}, {len(shells)} shells)")
 
 
@@ -142,6 +145,9 @@ def main(argv=None):
     except Euler2DError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 6
     return 0
 
 

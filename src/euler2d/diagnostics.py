@@ -7,7 +7,7 @@ fits the exponential tail of the enstrophy spectrum, E(K) ~ C K^n e^(-2
 delta K), giving the analyticity-strip radius delta.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +27,23 @@ class FitReport:
     gamma: float
     radius: float
     fit_window: tuple
-    discrepancies: dict = dc_field(default_factory=dict)  # s -> d_s
-    max_scaled_discrepancy: float = 0.0
-
-
-@dataclass
-class SpectrumReport:
-    shells: np.ndarray  # E(K) for K = 0..len-1
-    delta: float | None = None
-    exponent: float | None = None
-    prefactor: float | None = None
 
 
 def vorticity_spectrum(omega):
-    """Enstrophy shells E(K) = (1/2) sum_{K <= |k| < K+1} |coeff|^2."""
+    """Enstrophy shells E(K) = (1/2) sum_{K <= |k| < K+1} |coeff|^2, as an
+    array indexed by K."""
     n = omega.shape[-2]
     k1, k2 = spectral.wavegrid(n)
     shell = np.floor(np.sqrt(k1 * k1 + k2 * k2)).astype(np.int64)
     e = 0.5 * spectral.half_plane_weights(n) * np.abs(omega) ** 2
-    shells = np.bincount(shell.ravel(), weights=e.ravel())
-    return SpectrumReport(shells=shells)
+    return np.bincount(shell.ravel(), weights=e.ravel())
 
 
 def fit_log_linear(values, window):
     """Least squares of ln(values_s) against {1, ln s, s} over s in window.
 
     values is 1-based: values[0] is f_1.  Returns the fitted (alpha, beta,
-    gamma), the radius e^(-beta), and the per-order discrepancies d_s over
-    the window.
+    gamma) and the radius e^(-beta).
     """
     s_min, s_max = window
     if s_min < 1:
@@ -70,16 +59,12 @@ def fit_log_linear(values, window):
     big_f = np.log(f)
     design = np.column_stack([np.ones_like(s, dtype=float), np.log(s), s])
     (c, a, b), *_ = np.linalg.lstsq(design, big_f, rcond=None)
-    d = c + a * np.log(s) + b * s - big_f
-    tail = s >= (s_min + s_max) // 2
     return FitReport(
         alpha=float(a),
         beta=float(b),
         gamma=float(np.exp(c)),
         radius=float(np.exp(-b)),
         fit_window=(int(s_min), int(s_max)),
-        discrepancies={int(si): float(di) for si, di in zip(s, d)},
-        max_scaled_discrepancy=float(np.max(np.abs(d[tail] / s[tail]))),
     )
 
 
@@ -99,8 +84,7 @@ def fit_radius(norms, s_min=RADIUS_S_MIN, s_max=None):
 def radius_estimators(values):
     """Classical radius estimators from the coefficient sequence.
 
-    Cauchy-Hadamard over the second half, the last-ratio estimate, and the
-    Domb-Sykes point list (1/s, f_s/f_{s-1}) for external plotting.
+    Cauchy-Hadamard over the second half and the last-ratio estimate.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2:
@@ -110,24 +94,17 @@ def radius_estimators(values):
     roots = values[tail_start:] ** (1.0 / s[tail_start:])
     hadamard = float(1.0 / np.max(roots))
     ratio = float(values[-2] / values[-1])
-    domb_sykes = [
-        (1.0 / si, values[si - 1] / values[si - 2]) for si in range(2, len(values) + 1)
-    ]
-    return {"hadamard": hadamard, "ratio": ratio, "domb_sykes": domb_sykes}
+    return {"hadamard": hadamard, "ratio": ratio}
 
 
-def fit_analyticity_delta(spec, window):
-    """Fill delta/exponent by fitting ln E(K) against {1, ln K, K}.
+def fit_analyticity_delta(shells, window):
+    """Return (delta, fit) from a fit of ln E(K) against {1, ln K, K}.
 
-    The fit is fit_log_linear on the shells K >= 1, with K in the role of s.
+    The fit is fit_log_linear on the shells K >= 1, with K in the role of s,
+    so E(K) ~ gamma K^alpha e^(-2 delta K) and delta = -beta / 2.
     """
-    fit = fit_log_linear(spec.shells[1:], window)
-    return SpectrumReport(
-        shells=spec.shells,
-        delta=-fit.beta / 2.0,
-        exponent=fit.alpha,
-        prefactor=fit.gamma,
-    )
+    fit = fit_log_linear(shells[1:], window)
+    return -fit.beta / 2.0, fit
 
 
 def energy(omega):

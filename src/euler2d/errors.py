@@ -26,11 +26,7 @@ class NonzeroMeanError(Euler2DError):
 
 
 class NumericalError(Euler2DError):
-    """NaN/Inf or overflow encountered; carries the failing stage."""
-
-    def __init__(self, message, order=None):
-        super().__init__(message)
-        self.order = order
+    """NaN/Inf or overflow encountered; the message names the failing stage."""
 
 
 class StateError(Euler2DError):

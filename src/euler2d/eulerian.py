@@ -60,7 +60,7 @@ def et_coefficients(omega0, order):
         # the mean of an advection sum vanishes analytically; drop the rounding residue
         w_next[0, 0] = 0.0
         if not np.all(np.isfinite(w_next.view(np.float64))):
-            raise NumericalError(f"non-finite advection term at order {s + 1}", order=s + 1)
+            raise NumericalError(f"non-finite advection term at order {s + 1}")
         coeffs.append(w_next)
     return coeffs
 

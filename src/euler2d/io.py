@@ -1,12 +1,13 @@
 """Binary field files and CSV emitters.
 
-Field format: a 64-byte ASCII header "EULER2D1 n=... c=... t=..." padded
-with spaces, followed by raw little-endian float64 data, row-major,
-component-major for vectors.  Round-trips are bit-exact.  A field file is
-written whole to "<path>.tmp" and then renamed over the target, so a write
-that fails part way leaves the previous file as it was.
+Field format: a 64-byte ASCII header "EULER2D1 n=... c=1 t=..." padded
+with spaces, followed by the n*n values of one scalar field as raw
+little-endian float64, row-major.  Round-trips are bit-exact.  Every writer
+writes its file whole to "<path>.tmp" and then renames it over the target,
+so a write that fails part way leaves the previous file as it was.
 """
 
+import contextlib
 import csv
 import os
 
@@ -18,32 +19,34 @@ MAGIC = "EULER2D1"
 HEADER_LEN = 64
 
 
-def write_field(path, values, time):
-    values = np.asarray(values, dtype="<f8")
-    if values.ndim == 2:
-        comps, n = 1, values.shape[0]
-    elif values.ndim == 3:
-        comps, n = values.shape[0], values.shape[1]
-    else:
-        raise ConfigError(f"unsupported field rank {values.ndim}")
-    header = f"{MAGIC} n={n:d} c={comps:d} t={time:+.17e}"
-    header = header.ljust(HEADER_LEN - 1) + "\n"
+@contextlib.contextmanager
+def _replacing(path, mode, **kwargs):
+    """Write "<path>.tmp", renamed over path only if the block completes."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(values.tobytes())
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
+def write_field(path, values, time):
+    values = np.asarray(values, dtype="<f8")
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ConfigError(f"a field file holds one square grid, not shape {values.shape}")
+    header = f"{MAGIC} n={values.shape[0]:d} c=1 t={time:+.17e}"
+    with _replacing(path, "wb") as fh:
+        fh.write((header.ljust(HEADER_LEN - 1) + "\n").encode("ascii"))
+        fh.write(values.tobytes())
+
+
 def read_field(path):
-    """Return (values, time); vectors come back with shape (c, n, n).
+    """Return (values, time), values of shape (n, n).
 
     Raises ConfigError unless the header carries the magic and valid n=,
-    c=, t= keys and the payload holds exactly c*n*n float64 values.
+    c=1, t= keys and the payload holds exactly n*n float64 values.
     """
     with open(path, "rb") as fh:
         header = fh.read(HEADER_LEN).decode("ascii", errors="replace")
@@ -54,24 +57,20 @@ def read_field(path):
     fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
     try:
         n = int(fields["n"])
-        comps = int(fields["c"])
         time = float(fields["t"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad field header {header.strip()!r}") from exc
-    if n < 1 or comps < 1:
-        raise ConfigError(f"{path}: bad field size n={n} c={comps}")
-    if len(data) != 8 * comps * n * n:
+    if n < 1 or fields.get("c") != "1":
+        raise ConfigError(f"{path}: bad field size n={n} c={fields.get('c')} (c must be 1)")
+    if len(data) != 8 * n * n:
         raise ConfigError(
-            f"{path}: payload of {len(data)} bytes, expected {8 * comps * n * n} "
-            f"for n={n} c={comps}"
+            f"{path}: payload of {len(data)} bytes, expected {8 * n * n} for n={n}"
         )
-    values = np.frombuffer(data, dtype="<f8").copy()
-    shape = (n, n) if comps == 1 else (comps, n, n)
-    return values.reshape(shape), time
+    return np.frombuffer(data, dtype="<f8").reshape(n, n).copy(), time
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -97,17 +96,6 @@ def read_csv(path):
 
 
 def write_config(path, mapping):
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         for key, value in mapping.items():
             fh.write(f"{key}={value}\n")
-
-
-def read_config(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, value = line.split("=", 1)
-                out[key] = value
-    return out

@@ -100,7 +100,7 @@ def build_stack(omega_init, order):
     for s in range(1, order + 1):
         xi = next_coefficient(grads, omega_init, s)
         if not np.all(np.isfinite(xi.view(np.float64))):
-            raise NumericalError(f"non-finite Taylor coefficient at order {s}", order=s)
+            raise NumericalError(f"non-finite Taylor coefficient at order {s}")
         g = np.empty((2, 2, n, n))
         for k in (0, 1):
             spectral.inverse(spectral.gradient(xi[k]), check=False, out=g[k])

@@ -242,8 +242,10 @@ def _write_grid(path, omega, t):
 
 
 def _write_spectrum(path, omega):
-    shells = diagnostics.vorticity_spectrum(omega).shells
+    """Write the enstrophy shells of spectral omega as a CSV; return them."""
+    shells = diagnostics.vorticity_spectrum(omega)
     io.write_csv(path, ["K", "E_omega"], list(enumerate(shells)))
+    return shells
 
 
 def _hold_freed_heap():

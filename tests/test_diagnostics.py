@@ -11,19 +11,18 @@ class TestVorticitySpectrum:
     def test_single_mode_shell(self):
         # sin a cos b: four modes of modulus 1/4 on the |k| = sqrt(2) shell,
         # so E(1) = (1/2) * 4 * (1/16) = 1/8
-        spec = diagnostics.vorticity_spectrum(runner.make_ab_flow(64))
-        assert spec.shells[1] == pytest.approx(0.125, rel=1e-14)
-        others = np.delete(spec.shells, 1)
+        shells = diagnostics.vorticity_spectrum(runner.make_ab_flow(64))
+        assert shells[1] == pytest.approx(0.125, rel=1e-14)
+        others = np.delete(shells, 1)
         assert np.max(np.abs(others)) < 1e-30
 
     def test_zero_field(self):
-        spec = diagnostics.vorticity_spectrum(np.zeros((32, 17), dtype=complex))
-        assert np.all(spec.shells == 0.0)
+        shells = diagnostics.vorticity_spectrum(np.zeros((32, 17), dtype=complex))
+        assert np.all(shells == 0.0)
 
     def test_shell_sum_is_enstrophy(self):
         omega = runner.make_four_mode(64)
-        spec = diagnostics.vorticity_spectrum(omega)
-        total = np.sum(spec.shells)
+        total = np.sum(diagnostics.vorticity_spectrum(omega))
         assert total == pytest.approx(0.5 * spectral.norm_l2(omega) ** 2, abs=1e-13)
 
 
@@ -36,7 +35,6 @@ class TestFitLogLinear:
         assert report.beta == pytest.approx(-0.5, abs=1e-10)
         assert report.gamma == pytest.approx(3.0, abs=1e-10)
         assert report.radius == pytest.approx(np.exp(0.5), abs=1e-10)
-        assert report.max_scaled_discrepancy < 1e-12
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
@@ -91,10 +89,6 @@ class TestRadiusEstimators:
         out = diagnostics.radius_estimators(values)
         # finite-order ratio has a known bias: f_{S-1}/f_S = 2(S-1)/S
         assert out["ratio"] == pytest.approx(2.0 * 29 / 30, rel=1e-12)
-        inv_s, ratios = zip(*out["domb_sykes"])
-        assert inv_s[-1] == pytest.approx(1.0 / 30)
-        # successive-coefficient ratios drift toward 1/R = 0.5 from above
-        assert ratios[-1] == pytest.approx(0.5 * 30 / 29, rel=1e-12)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
@@ -106,25 +100,25 @@ class TestAnalyticityStrip:
         k = np.arange(0, 50, dtype=float)
         shells = np.zeros(50)
         shells[1:] = k[1:] ** 3 * np.exp(-0.2 * k[1:])
-        spec = diagnostics.SpectrumReport(shells=shells)
-        out = diagnostics.fit_analyticity_delta(spec, (1, 49))
-        assert out.delta == pytest.approx(0.1, abs=1e-12)
-        assert out.exponent == pytest.approx(3.0, abs=1e-10)
+        delta, fit = diagnostics.fit_analyticity_delta(shells, (1, 49))
+        assert delta == pytest.approx(0.1, abs=1e-12)
+        assert fit.alpha == pytest.approx(3.0, abs=1e-10)
+        assert fit.gamma == pytest.approx(1.0, rel=1e-10)
+        assert fit.fit_window == (1, 49)
 
     def test_empty_shell_rejected(self):
         shells = np.arange(0, 20, dtype=float) ** 3
         shells[10] = 0.0
-        spec = diagnostics.SpectrumReport(shells=shells)
         with pytest.raises(InsufficientDataError):
-            diagnostics.fit_analyticity_delta(spec, (1, 19))
+            diagnostics.fit_analyticity_delta(shells, (1, 19))
 
     def test_strip_width_shrinks_in_time(self):
         deltas = []
         for t_end in (0.75, 1.5, 2.5):
             config = runner.RunConfig(method="CL", order=8, n=128, t_end=t_end)
             art = runner.run(config)
-            spec = diagnostics.vorticity_spectrum(art.omega)
-            deltas.append(diagnostics.fit_analyticity_delta(spec, (5, 20)).delta)
+            shells = diagnostics.vorticity_spectrum(art.omega)
+            deltas.append(diagnostics.fit_analyticity_delta(shells, (5, 20))[0])
         assert deltas[0] > deltas[1] > deltas[2] > 0.0
 
 

@@ -17,14 +17,21 @@ class TestFieldFiles:
         assert t == 1.25
         np.testing.assert_array_equal(back, g)
 
-    def test_vector_round_trip(self, tmp_path):
-        rng = np.random.default_rng(32)
-        v = rng.normal(size=(2, 32, 32))
+    @pytest.mark.parametrize("shape", [(2, 32, 32), (16, 8)], ids=["vector", "non_square"])
+    def test_vector_rejected(self, tmp_path, shape):
+        # a field file holds one square scalar grid
         path = tmp_path / "v.field"
-        io.write_field(path, v, 0.0)
-        back, t = io.read_field(path)
-        assert back.shape == (2, 32, 32)
-        np.testing.assert_array_equal(back, v)
+        with pytest.raises(ConfigError):
+            io.write_field(path, np.zeros(shape), 0.0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("comps", ["2", "0", "x"])
+    def test_multi_component_file_rejected(self, tmp_path, comps):
+        path = tmp_path / "c2.field"
+        header = f"EULER2D1 n=4 c={comps} t=+0.0".ljust(io.HEADER_LEN - 1) + "\n"
+        path.write_bytes(header.encode() + bytes(8 * 2 * 4 * 4))
+        with pytest.raises(ConfigError, match="c must be 1"):
+            io.read_field(path)
 
     def test_header_is_fixed_width(self, tmp_path):
         path = tmp_path / "h.field"
@@ -116,5 +123,33 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.txt"
         io.write_config(path, {"n": 128, "method": "CL"})
-        out = io.read_config(path)
-        assert out == {"n": "128", "method": "CL"}
+        lines = path.read_text().splitlines()
+        assert dict(line.split("=", 1) for line in lines) == {"n": "128", "method": "CL"}
+
+
+class _FailingRows:
+    """Rows (or mapping items) that raise after the first one."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def __iter__(self):
+        yield self.first
+        raise OSError("disk full")
+
+    def items(self):
+        return self
+
+
+@pytest.mark.parametrize("write, first", [
+    (lambda path, rows: io.write_csv(path, ["step", "t"], rows), [2, 0.2]),
+    (io.write_config, ("n", 64)),
+], ids=["csv", "config"])
+def test_failed_text_write_keeps_previous_file(tmp_path, write, first):
+    path = tmp_path / "steps.csv"
+    io.write_csv(path, ["step", "t"], [[1, 0.1]])
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        write(path, _FailingRows(first))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["steps.csv"]

@@ -403,6 +403,35 @@ class TestCli:
         header, rows = io.read_csv(str(tmp_path / "sp" / "spectrum.csv"))
         assert header == ["K", "E_omega"]
         assert len(rows) > 3
+        # the run's own spectrum of that state, up to the grid round trip,
+        # shell by shell relative to the spectrum's largest shell
+        run_header, run_rows = io.read_csv(os.path.join(out, "spectrum_000000.csv"))
+        assert run_header == header
+        run_rows = np.array(run_rows)
+        np.testing.assert_allclose(rows, run_rows, rtol=0,
+                                   atol=1e-12 * np.max(run_rows[:, 1]))
+
+    def test_multi_component_field_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "v.field"
+        header = "EULER2D1 n=16 c=2 t=+0.0".ljust(io.HEADER_LEN - 1) + "\n"
+        path.write_bytes(header.encode() + bytes(8 * 2 * 16 * 16))
+        code = cli.main(["spectrum", str(path), "--output-dir", str(tmp_path / "sp")])
+        assert code == 2
+        assert "c must be 1" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(lagrangian, "build_stack", exhausted)
+        code = cli.main([
+            "run", "--method", "CL", "--n", "32", "--order", "6", "--t-end", "0.1",
+            "--radius-depth", "20", "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "n=32" in err and "order 6" in err and "radius depth 20" in err
 
     def test_compare_command(self, tmp_path):
         args = ["run", "--method", "RK4", "--dt", "0.05", "--n", "64",
