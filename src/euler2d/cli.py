@@ -4,9 +4,9 @@ Subcommands: run, compare, radius (offline fit on a norms CSV), spectrum.
 Exit codes: 0 success, 2 configuration or input error (including a path
 that is missing, taken, of the wrong kind or not permitted), 3 numerical failure
 (including a step that stays too large after the allowed halvings), 4
-reversion failure, 5 any other solver error (every Euler2DError
-subclass ends in one of these codes, never in a traceback), 6 out of memory
-(a run's message names n, the order and the radius depth).
+reversion failure, 5 any other Euler2DError (a safety net: every class in
+errors.py maps to 2, 3 or 4), 6 out of memory (a run's message names n, the
+order and the radius depth).
 """
 
 import argparse
@@ -26,12 +26,17 @@ from .errors import (
 )
 
 
+def order(text):
+    """The --order value: "auto" or an integer (RunConfig checks its range)."""
+    return text if text == "auto" else int(text)
+
+
 def _add_run_parser(sub):
     # a setting left out is absent from the namespace: RunConfig's default holds
     p = sub.add_parser("run", help="integrate the 2D Euler equation",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--method", choices=runner.METHODS)
-    p.add_argument("--order", type=int, help="Taylor order for CL/ET")
+    p.add_argument("--order", type=order, help='Taylor order for CL/ET, or "auto" for CL')
     p.add_argument("--n", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--dt", type=float, help="fixed step (RK/ET) or step cap (CL)")
@@ -39,7 +44,6 @@ def _add_run_parser(sub):
     p.add_argument("--initial", choices=runner.INITIALS)
     p.add_argument("--seed", type=int)
     p.add_argument("--initial-file", dest="initial_path", metavar="FILE")
-    p.add_argument("--auto-order", action="store_true")
     p.add_argument("--output-cadence", type=int)
     p.add_argument("--radius-cadence", type=int)
     p.add_argument("--radius-depth", type=int)

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the solver modules."""
+"""Exception hierarchy shared across the solver modules.
+
+Each class names a failure that a run or a CLI command can meet, and cli.main
+maps it to one exit code; a misused function argument raises ValueError.
+"""
 
 
 class Euler2DError(Exception):
@@ -6,31 +10,11 @@ class Euler2DError(Exception):
 
 
 class ConfigError(Euler2DError):
-    """Invalid or inconsistent run configuration."""
-
-
-class SymmetryError(Euler2DError):
-    """Spectral field violates the Hermitian symmetry required of real data."""
-
-
-class LayoutError(Euler2DError):
-    """Spectral array not in the (..., n, n//2+1) half-spectrum layout."""
-
-
-class ArityError(Euler2DError):
-    """Scalar operation applied to a vector field or vice versa."""
-
-
-class NonzeroMeanError(Euler2DError):
-    """Vorticity with a nonzero spatial mean; impossible on the torus."""
+    """Invalid or inconsistent run configuration or input file."""
 
 
 class NumericalError(Euler2DError):
     """NaN/Inf or overflow encountered; the message names the failing stage."""
-
-
-class StateError(Euler2DError):
-    """Operation invoked on an incompletely populated object."""
 
 
 class StepTooLargeError(Euler2DError):

@@ -35,7 +35,7 @@ def _replacing(path, mode, **kwargs):
 def write_field(path, values, time):
     values = np.asarray(values, dtype="<f8")
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ConfigError(f"a field file holds one square grid, not shape {values.shape}")
+        raise ValueError(f"a field file holds one square grid, not shape {values.shape}")
     header = f"{MAGIC} n={values.shape[0]:d} c=1 t={time:+.17e}"
     with _replacing(path, "wb") as fh:
         fh.write((header.ljust(HEADER_LEN - 1) + "\n").encode("ascii"))

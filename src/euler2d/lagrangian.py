@@ -29,14 +29,14 @@ Helmholtz problem, its curl and div read off the summed gradient g.
 import numpy as np
 
 from . import series, spectral
-from .errors import NumericalError, StateError, StepTooLargeError
+from .errors import NumericalError, StepTooLargeError
 
 
 def next_coefficient(grads, omega_init, s):
     """Compute xi^(s) from the initial vorticity and grads, the grid
     gradients of orders 1..s-1 (grads[m - 1] holds order m)."""
     if len(grads) != s - 1:
-        raise StateError(f"coefficients 1..{s - 1} must be present to build order {s}")
+        raise ValueError(f"coefficients 1..{s - 1} must be present to build order {s}")
     if s == 1:
         return _solve_curl_div(np.stack([omega_init, np.zeros_like(omega_init)]))
     # src stays bound until the return: freed before the products below, its block is split
@@ -135,7 +135,7 @@ def evaluate_displacement(grads, dt):
     """Raw (unwrapped) positions a + xi_S(a, dt), shape (2, n, n), and
     det(I + g) on the grid, from g = grad xi_S summed once over build_stack's grads."""
     if not grads:
-        raise StateError("no displacement gradients to sum")
+        raise ValueError("no displacement gradients to sum")
     g = series.horner(grads, dt)
     g *= dt
     jac = jacobian_determinant(g)

@@ -56,7 +56,7 @@ _HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
 @dataclass
 class RunConfig:
     method: str = "CL"
-    order: int = 8
+    order: int | str = 8  # or "auto": CL picks each step's order
     n: int = 256
     epsilon: float = 1e-12
     dt: float | None = None  # fixed step (RK/ET) or cap (CL)
@@ -64,7 +64,6 @@ class RunConfig:
     initial: str = "four_mode"
     seed: int = 0
     initial_path: str | None = None
-    auto_order: bool = False
     output_cadence: int = 10
     radius_cadence: int = 10
     radius_depth: int = 40
@@ -75,8 +74,10 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.initial not in INITIALS:
             raise ConfigError(f"unknown initial condition {self.initial!r}")
-        if self.order < 1:
-            raise ConfigError("order must be at least 1")
+        if self.order == "auto" and self.method != "CL":
+            raise ConfigError(f"order=auto is for CL, not {self.method}")
+        if self.order != "auto" and not (isinstance(self.order, int) and self.order >= 1):
+            raise ConfigError(f"order must be 'auto' or an integer >= 1, not {self.order!r}")
         if self.n < 16:
             raise ConfigError("resolution must be at least 16")
         # chained comparisons are False for NaN as well
@@ -88,8 +89,8 @@ class RunConfig:
             raise ConfigError("dt must be nonnegative and finite")
         if self.method in ("RK2", "RK4", "ET") and self.t_end > 0 and not self.dt:
             raise ConfigError(f"{self.method} requires a fixed dt")
-        if self.initial == "file" and not self.initial_path:
-            raise ConfigError("initial=file requires initial_path")
+        if (self.initial == "file") != bool(self.initial_path):
+            raise ConfigError("initial_path must be given with initial=file, and only then")
         for name in ("seed", "output_cadence", "radius_cadence", "radius_depth",
                      "checkpoint_cadence"):
             if getattr(self, name) < 0:
@@ -340,7 +341,7 @@ def _cl_step(config, omega, step, t, r_estimate):
     Returns the new spectral vorticity, the dt taken and the CL fields of
     the step row.
     """
-    if config.auto_order:
+    if config.order == "auto":
         amplitude = spectral.norm_l2(spectral.velocity_from_vorticity(omega))
         order = lagrangian.step_order_controller(config.epsilon, amplitude)
     else:

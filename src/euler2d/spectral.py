@@ -14,7 +14,7 @@ field stands for a real grid field.  Only the k2 = 0 column (and the
 Nyquist column k2 = n/2 when n is even) holds both k and -k; there the
 stored values must be conjugate pairs.  The grid size n is read from
 axis -2; an array whose last axis is not n//2+1 (a full (n, n) lattice,
-say) is rejected with LayoutError.
+say) is rejected with ValueError.
 
 The forward transform carries 1/n^2 so that coefficients are
 Fourier-series coefficients: coeff(0, 0) is the spatial mean and cos(a)
@@ -29,8 +29,6 @@ that is both real and consistent with its -k partner.
 import functools
 
 import numpy as np
-
-from .errors import ArityError, LayoutError, NonzeroMeanError, SymmetryError
 
 HERMITIAN_TOL = 1e-12
 MEAN_TOL = 1e-13
@@ -129,12 +127,10 @@ def dealias_cutoff(n):
 
 
 def _grid_size(s):
-    """Grid size n of a half-spectrum array; LayoutError if it is not one."""
+    """Grid size n of a half-spectrum array; ValueError if it is not one."""
     if s.ndim < 2 or s.shape[-1] != s.shape[-2] // 2 + 1:
-        raise LayoutError(
-            f"spectral array of shape {s.shape} is not an rfft2 half spectrum "
-            "(..., n, n//2+1)"
-        )
+        raise ValueError(f"spectral array of shape {s.shape} is not an rfft2 half "
+                         "spectrum (..., n, n//2+1)")
     return s.shape[-2]
 
 
@@ -161,12 +157,12 @@ def is_hermitian(s):
 def inverse(s, check=True, out=None):
     """Inverse transform to a real grid field, written into out when given.
 
-    Raises SymmetryError when a self-conjugate column is not Hermitian,
+    Raises ValueError when a self-conjugate column is not Hermitian,
     since the represented field would not be real.
     """
     n = _grid_size(s)
     if check and not is_hermitian(s):
-        raise SymmetryError("spectral field is not Hermitian-symmetric")
+        raise ValueError("spectral field is not Hermitian-symmetric")
     # irfft2 is irfftn on these axes, but it drops out= (numpy 2.4)
     return np.fft.irfftn(s, s=(n, n), axes=(-2, -1), norm="forward", out=out)
 
@@ -179,7 +175,7 @@ def dealias(s):
 def gradient(s):
     """Spectral gradient of a scalar field; returns a (2, n, n//2+1) vector."""
     if s.ndim != 2:
-        raise ArityError("gradient expects a scalar spectral field")
+        raise ValueError("gradient expects a scalar spectral field")
     return derivative_multipliers(_grid_size(s)) * s
 
 
@@ -191,7 +187,7 @@ def inverse_laplacian(s):
 def calderon_zygmund(s, i, j):
     """Bounded multiplier operator k_i k_j / |k|^2 (zero at k=0)."""
     if s.ndim != 2:
-        raise ArityError("calderon_zygmund expects a scalar spectral field")
+        raise ValueError("calderon_zygmund expects a scalar spectral field")
     n = _grid_size(s)
     k = wavegrid(n)
     return -s * (k[i] * k[j]) * _inverse_laplacian_multiplier(n)
@@ -203,13 +199,13 @@ def velocity_from_vorticity(omega):
     v = (-d/db, d/da) psi with psi the zero-mean solution of lap(psi) = omega.
     """
     if omega.ndim != 2:
-        raise ArityError("vorticity must be scalar")
+        raise ValueError("vorticity must be scalar")
     n = _grid_size(omega)
     # |mean| > MEAN_TOL * max(max|omega|, 1), without the O(n^2) max when
     # the mean is already below MEAN_TOL
     mean = np.abs(omega[0, 0])
     if mean > MEAN_TOL and mean > MEAN_TOL * np.max(np.abs(omega)):
-        raise NonzeroMeanError("mean vorticity must vanish on the torus")
+        raise ValueError("mean vorticity must vanish on the torus")
     v = derivative_multipliers(n)[::-1] * inverse_laplacian(omega)
     v[0] = -v[0]
     return v

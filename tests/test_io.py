@@ -21,7 +21,7 @@ class TestFieldFiles:
     def test_vector_rejected(self, tmp_path, shape):
         # a field file holds one square scalar grid
         path = tmp_path / "v.field"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="square grid"):
             io.write_field(path, np.zeros(shape), 0.0)
         assert not path.exists()
 
@@ -99,7 +99,7 @@ class TestFieldFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.field"]
 
     def test_bad_rank_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="square grid"):
             io.write_field(tmp_path / "x.field", np.zeros(8), 0.0)
 
 

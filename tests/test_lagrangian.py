@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from euler2d import diagnostics, eulerian, lagrangian, runner, series, spectral
-from euler2d.errors import StateError, StepTooLargeError
+from euler2d.errors import StepTooLargeError
 
 
 def _fourier_eval(s, x, y):
@@ -51,7 +51,7 @@ class TestBuildStack:
     def test_out_of_sequence_rejected(self):
         omega = runner.make_four_mode(64)
         grads, _ = lagrangian.build_stack(omega, 3)
-        with pytest.raises(StateError):
+        with pytest.raises(ValueError, match="must be present"):
             lagrangian.next_coefficient(grads, omega, 6)
 
     def test_probe_norms_match_coefficient_norms(self):
@@ -271,7 +271,7 @@ class TestEvaluateDisplacement:
 
     def test_no_coefficients_rejected(self):
         # an empty stack has no gradients to sum
-        with pytest.raises(StateError):
+        with pytest.raises(ValueError, match="no displacement gradients"):
             lagrangian.evaluate_displacement([], 0.1)
 
     def test_steady_flow_trajectories(self):

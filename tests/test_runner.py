@@ -12,7 +12,7 @@ import pytest
 from euler2d import (
     cli, diagnostics, eulerian, interpolation, io, lagrangian, runner, spectral,
 )
-from euler2d.errors import ConfigError, ReversionError, StateError
+from euler2d.errors import ConfigError, Euler2DError, ReversionError
 
 
 class TestInitialConditions:
@@ -130,6 +130,10 @@ class TestConfigValidation:
             {"dt": float("inf")},
             {"initial": "random", "seed": -1},
             {"radius_depth": -3},
+            {"method": "ET", "order": "auto", "dt": 0.05},
+            {"method": "RK4", "order": "auto", "dt": 0.05},
+            {"order": "x"},
+            {"initial": "random", "initial_path": "x.field"},
         ],
     )
     def test_rejected(self, kwargs):
@@ -301,7 +305,7 @@ class TestRunLoop:
         # the first step's order is the controller's choice for the initial
         # amplitude (14 for the four-mode flow at epsilon = 1e-12)
         config = runner.RunConfig(
-            method="CL", n=64, t_end=0.5, auto_order=True, radius_cadence=0
+            method="CL", n=64, t_end=0.5, order="auto", radius_cadence=0
         )
         art = runner.run(config)
         omega0 = runner.initial_vorticity(config)
@@ -309,6 +313,17 @@ class TestRunLoop:
         want = lagrangian.step_order_controller(config.epsilon, amplitude)
         assert art.steps[0]["order"] == want
         assert art.t == pytest.approx(0.5, abs=1e-12)
+
+    def test_auto_order_records(self, tmp_path):
+        # config.txt keeps the setting, the step rows the orders chosen
+        config = runner.RunConfig(method="CL", n=32, t_end=0.1, order="auto")
+        runner.run(config, output_dir=str(tmp_path))
+        lines = (tmp_path / "config.txt").read_text().splitlines()
+        assert "order=auto" in lines
+        assert not any(line.startswith("auto_order") for line in lines)
+        header, rows = io.read_csv(str(tmp_path / "steps.csv"))
+        orders = [row[header.index("order")] for row in rows]
+        assert orders and all(o == int(o) >= 2 for o in orders)
 
     def test_radius_cap_binds(self, monkeypatch):
         # a reported radius of 0.05 caps every step at 0.05 e^-2, well below
@@ -565,6 +580,30 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--method", "ET", "--order", "auto", "--dt", "0.05"], "order=auto"),
+            (["--initial-file", "zero.field"], "initial_path"),
+            (["--initial", "random", "--initial-file", "zero.field"], "initial_path"),
+        ],
+    )
+    def test_inconsistent_setting_exit_code(self, tmp_path, capsys, args, message):
+        # an order or an initial file that the run would not use
+        code = cli.main(["run", "--n", "32", "--t-end", "0.05", *args,
+                         "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_order_names_value(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--order", "x", "--t-end", "0.1",
+                      "--output-dir", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--order" in err and "'x'" in err
+
     def test_oversized_step_is_halved(self, tmp_path):
         # at epsilon=10 the order-2 step moves particles past half a period;
         # the step is halved as for a failed reversion
@@ -598,16 +637,16 @@ class TestCli:
 
     def test_other_solver_error_exit_code(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
-            raise StateError("stack is empty")
+            raise Euler2DError("not one of the mapped failures")
 
         monkeypatch.setattr(runner, "run", fail)
         code = cli.main(["run", "--t-end", "1", "--output-dir", str(tmp_path / "x")])
         assert code == 5
 
-    @pytest.mark.parametrize("cadence", [[], ["--radius-cadence", "0"], ["--auto-order"]])
+    @pytest.mark.parametrize("cadence", [[], ["--radius-cadence", "0"], ["--order", "auto"]])
     def test_rest_state_run(self, tmp_path, cadence):
         # zero norms put no bound on dt: the run takes one step to t_end.
-        # --auto-order picks order 2 for the zero amplitude.
+        # --order auto picks order 2 for the zero amplitude.
         zero = str(tmp_path / "zero.field")
         io.write_field(zero, np.zeros((32, 32)), 0.0)
         out = tmp_path / "run"

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from euler2d import diagnostics, interpolation, spectral
-from euler2d.errors import ArityError, LayoutError, NonzeroMeanError, SymmetryError
-
 from conftest import random_band_limited
 
 
@@ -43,7 +41,7 @@ class TestInverse:
     def test_non_hermitian_rejected(self):
         s = np.zeros((16, 9), dtype=complex)
         s[1, 0] = 1.0  # missing the conjugate partner s[-1, 0] in the k2=0 column
-        with pytest.raises(SymmetryError):
+        with pytest.raises(ValueError, match="Hermitian"):
             spectral.inverse(s)
         # the unchecked path is available for internal use
         spectral.inverse(s, check=False)
@@ -51,7 +49,7 @@ class TestInverse:
     def test_nyquist_column_checked(self):
         s = np.zeros((16, 9), dtype=complex)
         s[3, 8] = 1.0j  # k2 = n/2 holds its own partner s[-3, 8]
-        with pytest.raises(SymmetryError):
+        with pytest.raises(ValueError, match="Hermitian"):
             spectral.inverse(s)
         s[-3, 8] = -1.0j
         spectral.inverse(s)
@@ -61,7 +59,7 @@ class TestInverse:
         s = np.zeros(shape, dtype=complex)
         for op in (spectral.inverse, spectral.dealias, spectral.norm_l2,
                    spectral.inverse_laplacian):
-            with pytest.raises(LayoutError):
+            with pytest.raises(ValueError, match="half spectrum"):
                 op(s)
 
 
@@ -119,7 +117,7 @@ class TestGradient:
 
     def test_vector_input_rejected(self):
         v = np.zeros((2, 16, 9), dtype=complex)
-        with pytest.raises(ArityError):
+        with pytest.raises(ValueError, match="scalar"):
             spectral.gradient(v)
 
 
@@ -192,7 +190,7 @@ class TestVelocityFromVorticity:
 
     def test_nonzero_mean_rejected(self):
         omega = spectral.forward(np.sin(spectral.grid_coordinates(32)[0]) + 0.3)
-        with pytest.raises(NonzeroMeanError):
+        with pytest.raises(ValueError, match="mean vorticity"):
             spectral.velocity_from_vorticity(omega)
 
 
