@@ -39,7 +39,7 @@ def _add_run_parser(sub):
     p.add_argument("--order", type=order, help='Taylor order for CL/ET, or "auto" for CL')
     p.add_argument("--n", type=int)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--dt", type=float, help="fixed step (RK/ET) or step cap (CL)")
+    p.add_argument("--dt", type=float, help="fixed step of RK2, RK4 and ET (CL chooses its own)")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--initial", choices=runner.INITIALS)
     p.add_argument("--seed", type=int)

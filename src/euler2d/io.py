@@ -46,7 +46,7 @@ def read_field(path):
     """Return (values, time), values of shape (n, n).
 
     Raises ConfigError unless the header carries the magic and valid n=,
-    c=1, t= keys and the payload holds exactly n*n float64 values.
+    c=1, finite t= keys and the payload holds exactly n*n finite values.
     """
     with open(path, "rb") as fh:
         header = fh.read(HEADER_LEN).decode("ascii", errors="replace")
@@ -66,7 +66,10 @@ def read_field(path):
         raise ConfigError(
             f"{path}: payload of {len(data)} bytes, expected {8 * n * n} for n={n}"
         )
-    return np.frombuffer(data, dtype="<f8").reshape(n, n).copy(), time
+    values = np.frombuffer(data, dtype="<f8").reshape(n, n).copy()
+    if not (np.isfinite(time) and np.all(np.isfinite(values))):
+        raise ConfigError(f"{path}: non-finite time or value (t={time})")
+    return values, time
 
 
 def write_csv(path, header, rows):

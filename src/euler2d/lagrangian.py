@@ -113,22 +113,20 @@ def build_stack(omega_init, order):
 _DT_SAFETY = 1.0 - 1e-9
 
 
-def choose_step(norms, epsilon, dt_cap=np.inf):
-    """Largest dt with norms[S]*dt^S < epsilon, capped at dt_cap, as a float.
+def choose_step(norms, epsilon, radius=None):
+    """Largest dt with norms[S]*dt^S < epsilon, as a float, capped at
+    radius*e^-2 when a convergence radius is given.
 
-    A zero top norm (rest state) makes the criterion vacuous; dt_cap is
-    returned in that case.
+    A zero top norm (rest state) sets no bound: the criterion gives inf.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     norms = np.asarray(norms, dtype=np.float64)
-    top = norms[-1]
-    if top == 0.0:
-        if not np.isfinite(dt_cap):
-            raise ValueError("all-zero norms with no dt cap")
-        return float(dt_cap)
-    dt = (epsilon / top) ** (1.0 / len(norms)) * _DT_SAFETY
-    return float(min(dt, dt_cap))
+    with np.errstate(divide="ignore"):
+        dt = (epsilon / norms[-1]) ** (1.0 / len(norms)) * _DT_SAFETY
+    if radius is not None:
+        dt = min(dt, radius * np.exp(-2.0))
+    return float(dt)
 
 
 def evaluate_displacement(grads, dt):
@@ -163,8 +161,8 @@ def step_order_controller(epsilon, amplitude):
     The order sits at the low end of the bracket [-(1/2) ln(eps/A), -ln(eps/A)],
     since the nonlinear-sum cost dominates at these resolutions, and never
     below 2: where the bracket lies below 2 (A < e^2 eps, a rest state
-    included) the order is 2.  The dt cap R*e^-2 that goes with it is applied
-    in runner._cl_step.
+    included) the order is 2.  The cap R*e^-2 that goes with it is the
+    radius argument of choose_step.
     """
     a = max(amplitude, epsilon)
     return max(int(np.ceil(-np.log(epsilon / a) / 2.0)), 2)

@@ -1,12 +1,13 @@
 """Experiment orchestration: initial conditions, the multistep loop, I/O.
 
 One Lagrangian step: build the displacement Taylor stack from the
-vorticity, pick dt from the truncation criterion (norms[S] * dt^S <
-epsilon, capped by R*e^-2 once a radius estimate exists), evaluate the
-truncated series to particle positions, check monotonicity, revert the
-step's initial vorticity grid from those positions by cascade
+vorticity, take dt from lagrangian.choose_step (norms[S] * dt^S <
+epsilon, capped by R*e^-2 once a radius estimate exists) clipped at t_end,
+evaluate the truncated series to particle positions, check monotonicity,
+revert the step's initial vorticity grid from those positions by cascade
 interpolation, restart from the new Eulerian field.  Eulerian methods march
-with a fixed dt, each stepper mapping the spectral vorticity to the next.
+with the fixed dt of RunConfig.dt, each stepper mapping the spectral
+vorticity to the next.
 The stages pass plain arrays.  One loop, ``_march``, drives every method
 and owns t and the step rows; ``_run_cl`` and ``_run_eulerian`` only supply
 its per-step ``advance``.  One ``_Record`` holds the run's artifacts and
@@ -59,7 +60,7 @@ class RunConfig:
     order: int | str = 8  # or "auto": CL picks each step's order
     n: int = 256
     epsilon: float = 1e-12
-    dt: float | None = None  # fixed step (RK/ET) or cap (CL)
+    dt: float | None = None  # fixed step of RK2/RK4/ET; CL takes none
     t_end: float = 1.0
     initial: str = "four_mode"
     seed: int = 0
@@ -87,6 +88,8 @@ class RunConfig:
             raise ConfigError("t_end must be nonnegative and finite")
         if self.dt is not None and not 0.0 <= self.dt < np.inf:
             raise ConfigError("dt must be nonnegative and finite")
+        if self.method == "CL" and self.dt is not None:
+            raise ConfigError("CL chooses its own steps: dt is for RK2, RK4 and ET")
         if self.method in ("RK2", "RK4", "ET") and self.t_end > 0 and not self.dt:
             raise ConfigError(f"{self.method} requires a fixed dt")
         if (self.initial == "file") != bool(self.initial_path):
@@ -328,7 +331,7 @@ def _run_cl(config, omega, record):
         if config.radius_cadence and step % config.radius_cadence == 0:
             report, norms = radius_probe(omega, config.radius_depth)
             record.probe(step, t, report, norms)
-        # the latest fitted radius caps the step
+        # the latest fitted radius caps the step (choose_step)
         r_estimate = radii[-1][2] if radii else None
         return _cl_step(config, omega, step, t, r_estimate)
 
@@ -347,13 +350,7 @@ def _cl_step(config, omega, step, t, r_estimate):
     else:
         order = config.order
     grads, norms = lagrangian.build_stack(omega, order)
-    dt_cap = config.dt if config.dt else np.inf
-    if r_estimate is not None:
-        dt_cap = min(dt_cap, r_estimate * np.exp(-2.0))
-    if norms[-1] == 0.0:
-        # a zero top norm (rest state) puts no bound on dt: t_end does
-        dt_cap = min(dt_cap, config.t_end - t)
-    dt_raw = lagrangian.choose_step(norms, config.epsilon, dt_cap)
+    dt_raw = lagrangian.choose_step(norms, config.epsilon, r_estimate)
     dt = min(dt_raw, config.t_end - t)
 
     omega_grid = spectral.inverse(omega, check=False)

@@ -4,12 +4,16 @@ Each test is one criterion.  The runs are shared through module-scoped
 fixtures; the whole module takes a few minutes single-threaded.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from euler2d import _cascade_py, diagnostics, io, runner, spectral
 
 EPSILON = 1e-12
+# the benchmark's ET12 dt=0.005 reference field at t=1 (read only)
+REFERENCE_T1 = pathlib.Path(__file__).parents[1] / "perfbench" / "reference" / "omega_t1.0.npy"
 
 
 def _run(**kwargs):
@@ -204,3 +208,29 @@ def test_c11_property_suites(tmp_path):
     np.testing.assert_array_equal(
         runner.make_random_flow(64, seed=3), runner.make_random_flow(64, seed=3)
     )
+
+
+def test_c12_time_reversal_round_trip(cl8_t1, tmp_path):
+    """-omega(-t) solves the Euler equation too, so CL8 run forward from
+    -omega(T) returns to -omega(0); its error there is of the forward run's
+    (measured 7.1e-13 against 1.4e-12)."""
+    forward = _grid(cl8_t1)
+    forward_err = np.max(np.abs(forward - np.load(REFERENCE_T1)))
+    path = str(tmp_path / "reversed.field")
+    io.write_field(path, -forward, 0.0)
+    back = _run(method="CL", order=8, n=256, epsilon=EPSILON, t_end=1.0,
+                radius_cadence=0, initial="file", initial_path=path)
+    omega0 = spectral.inverse(runner.initial_vorticity(cl8_t1.config), check=False)
+    round_trip = np.max(np.abs(_grid(back) + omega0))
+    ratio = round_trip / forward_err
+    msg = f"round trip {round_trip:.3e}, forward {forward_err:.3e}"
+    assert 0.3 <= ratio <= 4.0, msg
+
+
+def test_c13_pi_rotation_symmetry(cl8_t1):
+    """The four-mode flow is even in (a, b), and a rotation by pi maps Euler
+    solutions to solutions: omega(-a, -b, t) = omega(a, b, t)."""
+    grid = _grid(cl8_t1)
+    rotated = np.roll(grid[::-1, ::-1], 1, axis=(0, 1))
+    asym = np.max(np.abs(grid - rotated))
+    assert asym <= 1e-13, f"pi-rotation asymmetry {asym:.3e}"

@@ -58,11 +58,23 @@ class TestFieldFiles:
         "EULER2D1 n=x c=1 t=+0.0",
         "EULER2D1 n=4 c=1 t=soon",
         "EULER2D1 n=0 c=1 t=+0.0",
+        "EULER2D1 n=4 c=1 t=nan",
+        "EULER2D1 n=4 c=1 t=-inf",
     ])
     def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "h.field"
         path.write_bytes(header.ljust(io.HEADER_LEN - 1).encode() + b"\n" + bytes(128))
         with pytest.raises(ConfigError):
+            io.read_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        # no run writes a non-finite field, and none may start from one
+        g = np.zeros((16, 16))
+        g[3, 5] = bad
+        path = tmp_path / "bad.field"
+        io.write_field(path, g, 0.0)
+        with pytest.raises(ConfigError, match="non-finite"):
             io.read_field(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):

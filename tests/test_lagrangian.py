@@ -206,14 +206,18 @@ class TestChooseStep:
         assert norms[-1] * dt**8 < 1e-12
 
     def test_cap_applies(self):
+        # the criterion gives 10^-1.5 = 0.0316; R e^-2 binds only below it
         norms = np.zeros(8)
         norms[-1] = 1.0
-        assert lagrangian.choose_step(norms, 1e-12, dt_cap=0.01) == 0.01
+        free = lagrangian.choose_step(norms, 1e-12)
+        assert lagrangian.choose_step(norms, 1e-12, radius=0.1) == 0.1 * np.exp(-2.0)
+        assert 1.0 * np.exp(-2.0) > free
+        assert lagrangian.choose_step(norms, 1e-12, radius=1.0) == free
 
     def test_zero_top_norm(self):
-        assert lagrangian.choose_step(np.zeros(4), 1e-12, dt_cap=0.5) == 0.5
-        with pytest.raises(ValueError):
-            lagrangian.choose_step(np.zeros(4), 1e-12)
+        # a rest state sets no bound, unless a radius is given
+        assert lagrangian.choose_step(np.zeros(4), 1e-12) == np.inf
+        assert lagrangian.choose_step(np.zeros(4), 1e-12, radius=0.5) == 0.5 * np.exp(-2.0)
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):

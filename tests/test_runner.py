@@ -134,6 +134,7 @@ class TestConfigValidation:
             {"method": "RK4", "order": "auto", "dt": 0.05},
             {"order": "x"},
             {"initial": "random", "initial_path": "x.field"},
+            {"method": "CL", "dt": 0.01},
         ],
     )
     def test_rejected(self, kwargs):
@@ -586,10 +587,11 @@ class TestCli:
             (["--method", "ET", "--order", "auto", "--dt", "0.05"], "order=auto"),
             (["--initial-file", "zero.field"], "initial_path"),
             (["--initial", "random", "--initial-file", "zero.field"], "initial_path"),
+            (["--method", "CL", "--dt", "0.01"], "CL chooses its own steps"),
         ],
     )
     def test_inconsistent_setting_exit_code(self, tmp_path, capsys, args, message):
-        # an order or an initial file that the run would not use
+        # an order, an initial file or a dt that the run would not use
         code = cli.main(["run", "--n", "32", "--t-end", "0.05", *args,
                          "--output-dir", str(tmp_path / "x")])
         assert code == 2
@@ -635,6 +637,25 @@ class TestCli:
         code = cli.main(["spectrum", str(path), "--output-dir", str(tmp_path / "sp")])
         assert code == 2
 
+    def test_non_finite_field_exit_code(self, tmp_path, capsys):
+        # a field holding a NaN is an input error: run stops before it makes
+        # the output directory, and spectrum writes nothing
+        g = np.zeros((32, 32))
+        g[7, 11] = np.nan
+        path = str(tmp_path / "nan.field")
+        io.write_field(path, g, 0.0)
+        code = cli.main([
+            "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
+            "--initial", "file", "--initial-file", path,
+            "--output-dir", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+        code = cli.main(["spectrum", path, "--output-dir", str(tmp_path / "sp")])
+        assert code == 2
+        assert not (tmp_path / "sp").exists()
+        assert capsys.readouterr().err.count("non-finite") == 2
+
     def test_other_solver_error_exit_code(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise Euler2DError("not one of the mapped failures")
@@ -645,8 +666,8 @@ class TestCli:
 
     @pytest.mark.parametrize("cadence", [[], ["--radius-cadence", "0"], ["--order", "auto"]])
     def test_rest_state_run(self, tmp_path, cadence):
-        # zero norms put no bound on dt: the run takes one step to t_end.
-        # --order auto picks order 2 for the zero amplitude.
+        # zero norms put no bound on dt (dt_unclipped is inf): the run takes
+        # one step to t_end.  --order auto picks order 2 for the zero amplitude.
         zero = str(tmp_path / "zero.field")
         io.write_field(zero, np.zeros((32, 32)), 0.0)
         out = tmp_path / "run"
@@ -657,6 +678,7 @@ class TestCli:
         assert code == 0
         header, rows = io.read_csv(str(out / "steps.csv"))
         assert [row[header.index("t")] for row in rows] == [pytest.approx(0.1)]
+        assert [row[header.index("dt_unclipped")] for row in rows] == [np.inf]
         values, t = io.read_field(str(out / "fields" / "omega_000001.field"))
         assert t == pytest.approx(0.1)
         assert np.all(values == 0.0)
