@@ -44,7 +44,7 @@ from .errors import (
 )
 
 METHODS = ("CL", "RK2", "RK4", "ET")
-INITIALS = ("four_mode", "random", "ab", "file")
+INITIALS = ("four_mode", "random", "ab")
 
 MAX_REJECTIONS = 5
 # random-flow modes below this modulus are left at zero
@@ -62,9 +62,8 @@ class RunConfig:
     epsilon: float = 1e-12
     dt: float | None = None  # fixed step of RK2/RK4/ET; CL takes none
     t_end: float = 1.0
-    initial: str = "four_mode"
+    initial: str = "four_mode"  # a flow of INITIALS, else a field file's path
     seed: int = 0
-    initial_path: str | None = None
     output_cadence: int = 10
     radius_cadence: int = 10
     radius_depth: int = 40
@@ -73,8 +72,8 @@ class RunConfig:
     def validate(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.initial not in INITIALS:
-            raise ConfigError(f"unknown initial condition {self.initial!r}")
+        if self.initial not in INITIALS and not os.path.isfile(self.initial):
+            raise ConfigError(f"initial {self.initial!r}: not a flow {INITIALS} nor a field file")
         if self.order == "auto" and self.method != "CL":
             raise ConfigError(f"order=auto is for CL, not {self.method}")
         if self.order != "auto" and not (isinstance(self.order, int) and self.order >= 1):
@@ -92,8 +91,6 @@ class RunConfig:
             raise ConfigError("CL chooses its own steps: dt is for RK2, RK4 and ET")
         if self.method in ("RK2", "RK4", "ET") and self.t_end > 0 and not self.dt:
             raise ConfigError(f"{self.method} requires a fixed dt")
-        if (self.initial == "file") != bool(self.initial_path):
-            raise ConfigError("initial_path must be given with initial=file, and only then")
         for name in ("seed", "output_cadence", "radius_cadence", "radius_depth",
                      "checkpoint_cadence"):
             if getattr(self, name) < 0:
@@ -173,7 +170,7 @@ def initial_vorticity(config):
     elif config.initial == "random":
         omega = make_random_flow(config.n, config.seed)
     else:
-        values, _ = io.read_field(config.initial_path)
+        values, _ = io.read_field(config.initial)
         if values.shape != (config.n, config.n):
             raise ConfigError(
                 f"initial field shape {values.shape} does not match n={config.n}"
@@ -202,7 +199,10 @@ class _Record:
     def __init__(self, config, omega, output_dir):
         self.artifacts = RunArtifacts(config=config, omega=omega, t=0.0)
         self.dir = output_dir
-        self._write("fields", os.makedirs, exist_ok=True)
+        try:
+            self._write("fields", os.makedirs)
+        except FileExistsError:
+            raise FileExistsError(f"{output_dir} already holds a run") from None
         settings = {k: v for k, v in asdict(config).items() if v is not None}
         self._write("config.txt", io.write_config, settings)
 
@@ -395,12 +395,12 @@ def _run_eulerian(config, omega, record):
 
 
 def compare_dirs(dir_a, dir_b, out_path=None):
-    """Per-time discrepancy CSV from two run output directories."""
+    """Per-time discrepancy CSV from the *.field files of two run directories."""
 
     def load(d):
         fdir = os.path.join(d, "fields")
         out = {}
-        for name in sorted(os.listdir(fdir)):
+        for name in sorted(n for n in os.listdir(fdir) if n.endswith(".field")):
             values, t = io.read_field(os.path.join(fdir, name))
             out[round(t, 10)] = values
         return out

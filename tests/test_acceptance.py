@@ -219,7 +219,7 @@ def test_c12_time_reversal_round_trip(cl8_t1, tmp_path):
     path = str(tmp_path / "reversed.field")
     io.write_field(path, -forward, 0.0)
     back = _run(method="CL", order=8, n=256, epsilon=EPSILON, t_end=1.0,
-                radius_cadence=0, initial="file", initial_path=path)
+                radius_cadence=0, initial=path)
     omega0 = spectral.inverse(runner.initial_vorticity(cl8_t1.config), check=False)
     round_trip = np.max(np.abs(_grid(back) + omega0))
     ratio = round_trip / forward_err

@@ -82,19 +82,6 @@ class TestCascadeKernel:
         out = _cascade_py.cascade(x, y, w)
         assert np.max(np.abs(out - want)) < 1e-10
 
-    def test_eighth_order_accuracy(self):
-        """Halving the deformation (amplitude together with the spacing that
-        resolves it) drops the reversion error by at least 2^11: the
-        12-point stencil is of order 12, and an 8-point one would fail."""
-        field = lambda x, y: np.sin(8 * x) * np.cos(8 * y)
-        errors = []
-        for n, amp in ((64, 0.1), (128, 0.05), (256, 0.025)):
-            x, y, w, want = _deformed(n, amp, field)
-            out = _cascade_py.cascade(x, y, w)
-            errors.append(np.max(np.abs(out - want)))
-        assert errors[0] / errors[1] >= 2.0**11
-        assert errors[1] / errors[2] >= 2.0**11
-
     def test_hybrid_monotonicity_failure(self):
         n = 64
         a, b = spectral.grid_coordinates(n)

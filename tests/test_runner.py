@@ -88,18 +88,25 @@ class TestInitialConditions:
         c = runner.make_random_flow(64, seed=8)
         assert np.max(np.abs(a - c)) > 0.0
 
-    def test_file_initial(self, tmp_path):
+    def test_file_initial(self, tmp_path, monkeypatch):
         g = spectral.inverse(runner.make_four_mode(48))
         path = tmp_path / "ic.field"
         io.write_field(path, g, 0.0)
-        config = runner.RunConfig(initial="file", initial_path=str(path), n=48)
+        config = runner.RunConfig(initial=str(path), n=48)
         omega = runner.initial_vorticity(config)
         np.testing.assert_allclose(omega, runner.make_four_mode(48), atol=1e-15)
+        # a flow name wins over a file of that name; "./ab" reads the file
+        os.rename(path, tmp_path / "ab")
+        monkeypatch.chdir(tmp_path)
+        for initial, want in (("ab", runner.make_ab_flow(48)), ("./ab", omega)):
+            config = runner.RunConfig(initial=initial, n=48)
+            config.validate()
+            np.testing.assert_allclose(runner.initial_vorticity(config), want, atol=1e-15)
 
     def test_file_initial_shape_mismatch(self, tmp_path):
         path = tmp_path / "ic.field"
         io.write_field(path, np.zeros((32, 32)), 0.0)
-        config = runner.RunConfig(initial="file", initial_path=str(path), n=48)
+        config = runner.RunConfig(initial=str(path), n=48)
         with pytest.raises(ConfigError):
             runner.initial_vorticity(config)
 
@@ -133,7 +140,6 @@ class TestConfigValidation:
             {"method": "ET", "order": "auto", "dt": 0.05},
             {"method": "RK4", "order": "auto", "dt": 0.05},
             {"order": "x"},
-            {"initial": "random", "initial_path": "x.field"},
             {"method": "CL", "dt": 0.01},
         ],
     )
@@ -404,6 +410,15 @@ class TestRunLoop:
         assert all(row[1] == 0.0 for row in rows)
         assert (tmp_path / "d.csv").exists()
 
+    def test_compare_skips_partial_field(self, tmp_path):
+        # a run killed mid-write leaves "<name>.field.tmp" in fields/
+        config = runner.RunConfig(method="RK4", dt=0.05, n=32, t_end=0.1)
+        for side in "ab":
+            runner.run(config, output_dir=str(tmp_path / side))
+        (tmp_path / "a" / "fields" / "omega_000004.field.tmp").write_bytes(b"EULER2D1 n=32")
+        _, rows = runner.compare_dirs(str(tmp_path / "a"), str(tmp_path / "b"))
+        assert [row[0] for row in rows] == [0.0, pytest.approx(0.1)]
+
 
 class TestCli:
     def test_run_and_spectrum(self, tmp_path):
@@ -585,18 +600,46 @@ class TestCli:
         "args, message",
         [
             (["--method", "ET", "--order", "auto", "--dt", "0.05"], "order=auto"),
-            (["--initial-file", "zero.field"], "initial_path"),
-            (["--initial", "random", "--initial-file", "zero.field"], "initial_path"),
             (["--method", "CL", "--dt", "0.01"], "CL chooses its own steps"),
         ],
     )
     def test_inconsistent_setting_exit_code(self, tmp_path, capsys, args, message):
-        # an order, an initial file or a dt that the run would not use
+        # an order or a dt that the run would not use
         code = cli.main(["run", "--n", "32", "--t-end", "0.05", *args,
                          "--output-dir", str(tmp_path / "x")])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_unknown_initial_exit_code(self, tmp_path, capsys):
+        code = cli.main(["run", "--n", "32", "--t-end", "0.05", "--initial", "no-such-flow",
+                         "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'no-such-flow'" in err and "four_mode" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_file_initial_recorded(self, tmp_path):
+        zero = str(tmp_path / "zero.field")
+        io.write_field(zero, np.zeros((32, 32)), 0.0)
+        out = tmp_path / "run"
+        code = cli.main(["run", "--n", "32", "--t-end", "0.05", "--initial", zero,
+                         "--output-dir", str(out)])
+        assert code == 0
+        # one line for the initial condition: the path as given
+        lines = (out / "config.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("initial")] == [f"initial={zero}"]
+
+    def test_output_dir_holding_a_run_exit_code(self, tmp_path, capsys):
+        # a second run into the directory would mix its files with the first's
+        out = tmp_path / "run"
+        args = ["run", "--method", "RK4", "--dt", "0.1", "--n", "32", "--output-cadence", "2",
+                "--output-dir", str(out)]
+        assert cli.main(args + ["--t-end", "0.5"]) == 0
+        before = {name: (out / name).read_bytes() for name in ("config.txt", "steps.csv")}
+        assert cli.main(args + ["--t-end", "0.2"]) == 2
+        assert f"{out} already holds a run" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_bad_order_names_value(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -646,7 +689,7 @@ class TestCli:
         io.write_field(path, g, 0.0)
         code = cli.main([
             "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
-            "--initial", "file", "--initial-file", path,
+            "--initial", path,
             "--output-dir", str(tmp_path / "run"),
         ])
         assert code == 2
@@ -673,7 +716,7 @@ class TestCli:
         out = tmp_path / "run"
         code = cli.main([
             "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
-            "--initial", "file", "--initial-file", zero, "--output-dir", str(out),
+            "--initial", zero, "--output-dir", str(out),
         ] + cadence)
         assert code == 0
         header, rows = io.read_csv(str(out / "steps.csv"))
