@@ -140,6 +140,7 @@ class TestConfigValidation:
             {"method": "ET", "order": "auto", "dt": 0.05},
             {"method": "RK4", "order": "auto", "dt": 0.05},
             {"order": "x"},
+            {"initial": os.curdir},  # a path that exists but is no file
             {"method": "CL", "dt": 0.01},
         ],
     )
