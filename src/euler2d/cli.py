@@ -41,8 +41,7 @@ def _add_run_parser(sub):
     p.add_argument("--epsilon", type=float)
     p.add_argument("--dt", type=float, help="fixed step of RK2, RK4 and ET (CL chooses its own)")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--initial", help=f"a flow ({', '.join(runner.INITIALS)}) or a field file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--initial", help=f"a flow {runner.INITIALS}, random:<seed> or a field file")
     p.add_argument("--output-cadence", type=int)
     p.add_argument("--radius-cadence", type=int)
     p.add_argument("--radius-depth", type=int)

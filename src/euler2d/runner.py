@@ -62,8 +62,7 @@ class RunConfig:
     epsilon: float = 1e-12
     dt: float | None = None  # fixed step of RK2/RK4/ET; CL takes none
     t_end: float = 1.0
-    initial: str = "four_mode"  # a flow of INITIALS, else a field file's path
-    seed: int = 0
+    initial: str = "four_mode"  # a flow of INITIALS or random:<seed>, else a field file
     output_cadence: int = 10
     radius_cadence: int = 10
     radius_depth: int = 40
@@ -72,8 +71,9 @@ class RunConfig:
     def validate(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.initial not in INITIALS and not os.path.isfile(self.initial):
-            raise ConfigError(f"initial {self.initial!r}: not a flow {INITIALS} nor a field file")
+        if _flow(self.initial) is None and not os.path.isfile(self.initial):
+            raise ConfigError(f"initial {self.initial!r}: not a flow {INITIALS}, "
+                              "random:<seed> nor a field file")
         if self.order == "auto" and self.method != "CL":
             raise ConfigError(f"order=auto is for CL, not {self.method}")
         if self.order != "auto" and not (isinstance(self.order, int) and self.order >= 1):
@@ -91,8 +91,7 @@ class RunConfig:
             raise ConfigError("CL chooses its own steps: dt is for RK2, RK4 and ET")
         if self.method in ("RK2", "RK4", "ET") and self.t_end > 0 and not self.dt:
             raise ConfigError(f"{self.method} requires a fixed dt")
-        for name in ("seed", "output_cadence", "radius_cadence", "radius_depth",
-                     "checkpoint_cadence"):
+        for name in ("output_cadence", "radius_cadence", "radius_depth", "checkpoint_cadence"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
 
@@ -162,13 +161,18 @@ def make_random_flow(n, seed):
     return s
 
 
+def _flow(initial):
+    """The maker n -> spectral vorticity of the flow that initial names, or None."""
+    name, _, seed = initial.partition(":")
+    if initial == "random" or name == "random" and seed.isascii() and seed.isdigit():
+        return lambda n: make_random_flow(n, int(seed or 0))
+    return {"four_mode": make_four_mode, "ab": make_ab_flow}.get(initial)
+
+
 def initial_vorticity(config):
-    if config.initial == "four_mode":
-        omega = make_four_mode(config.n)
-    elif config.initial == "ab":
-        omega = make_ab_flow(config.n)
-    elif config.initial == "random":
-        omega = make_random_flow(config.n, config.seed)
+    make = _flow(config.initial)
+    if make is not None:
+        omega = make(config.n)
     else:
         values, _ = io.read_field(config.initial)
         if values.shape != (config.n, config.n):

@@ -28,7 +28,7 @@ def _coefficients(omega, order):
 def _flow(name, n):
     if name == "four_mode":
         return runner.make_four_mode(n)
-    return runner.initial_vorticity(runner.RunConfig(initial="random", n=n, seed=5))
+    return runner.initial_vorticity(runner.RunConfig(initial="random:5", n=n))
 
 
 class TestBuildStack:

@@ -88,6 +88,16 @@ class TestInitialConditions:
         c = runner.make_random_flow(64, seed=8)
         assert np.max(np.abs(a - c)) > 0.0
 
+    def test_random_seed_in_initial(self):
+        # random:<k> is the random flow drawn with seed k, and random is random:0
+        def initial(value):
+            return runner.initial_vorticity(runner.RunConfig(initial=value, n=64))
+
+        want = spectral.dealias(runner.make_random_flow(64, 3))
+        want[0, 0] = 0.0
+        np.testing.assert_array_equal(initial("random:3"), want)
+        np.testing.assert_array_equal(initial("random"), initial("random:0"))
+
     def test_file_initial(self, tmp_path, monkeypatch):
         g = spectral.inverse(runner.make_four_mode(48))
         path = tmp_path / "ic.field"
@@ -95,10 +105,14 @@ class TestInitialConditions:
         config = runner.RunConfig(initial=str(path), n=48)
         omega = runner.initial_vorticity(config)
         np.testing.assert_allclose(omega, runner.make_four_mode(48), atol=1e-15)
-        # a flow name wins over a file of that name; "./ab" reads the file
+        # a flow wins over a file of that name; "./ab" reads the file
         os.rename(path, tmp_path / "ab")
+        os.link(tmp_path / "ab", tmp_path / "random:2")
         monkeypatch.chdir(tmp_path)
-        for initial, want in (("ab", runner.make_ab_flow(48)), ("./ab", omega)):
+        for initial, want in (
+            ("ab", runner.make_ab_flow(48)), ("./ab", omega),
+            ("random:2", runner.make_random_flow(48, 2)), ("./random:2", omega),
+        ):
             config = runner.RunConfig(initial=initial, n=48)
             config.validate()
             np.testing.assert_allclose(runner.initial_vorticity(config), want, atol=1e-15)
@@ -135,13 +149,16 @@ class TestConfigValidation:
             {"epsilon": float("inf")},
             {"method": "RK4", "dt": float("nan")},
             {"dt": float("inf")},
-            {"initial": "random", "seed": -1},
+            {"initial": "random:-1"},
             {"radius_depth": -3},
             {"method": "ET", "order": "auto", "dt": 0.05},
             {"method": "RK4", "order": "auto", "dt": 0.05},
             {"order": "x"},
             {"initial": os.curdir},  # a path that exists but is no file
             {"method": "CL", "dt": 0.01},
+            {"initial": "random:"},
+            {"initial": "random:x"},
+            {"initial": "ab:1"},
         ],
     )
     def test_rejected(self, kwargs):
@@ -542,10 +559,26 @@ class TestCli:
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         code = cli.main([
             "run", "--method", "CL", "--n", "32", "--t-end", "0.1",
-            "--initial", "random", "--seed", "-1", "--output-dir", str(tmp_path / "x"),
+            "--initial", "random:-1", "--output-dir", str(tmp_path / "x"),
         ])
         assert code == 2
-        assert "seed" in capsys.readouterr().err
+        assert "'random:-1'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_seed_recorded_in_initial(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.main(["run", "--n", "32", "--t-end", "0.05", "--initial", "random:3",
+                         "--output-dir", str(out)])
+        assert code == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert "initial=random:3" in lines
+        assert not [line for line in lines if line.startswith("seed")]
+        # the seed is no setting of its own
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--t-end", "0.05", "--seed", "3",
+                      "--output-dir", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--seed 3" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
