@@ -49,6 +49,12 @@ INITIALS = ("four_mode", "random", "ab")
 MAX_REJECTIONS = 5
 # random-flow modes below this modulus are left at zero
 MODULUS_FLOOR = 1e-18
+# the random flow's phases are drawn over |k1|, |k2| <= this cutoff, the
+# dealias square of n = 256, at every n
+RANDOM_LATTICE_CUTOFF = 85
+# a radius probe keeps its n/2-grid stack when the deepest coefficient holds
+# at most this share of its gradient energy within 4 modes of the n/2 cutoff
+HALF_GRID_BAND_SHARE = 1e-3
 
 # glibc mallopt (M_MMAP_THRESHOLD, 32 MiB) and (M_TRIM_THRESHOLD, 64 MiB)
 _HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
@@ -130,16 +136,19 @@ def make_random_flow(n, seed):
     """Shell-prescribed moduli 2 K^(7/2) e^(-K^2/4) / N(K), random phases.
 
     Phases are i.i.d. uniform on [0, 2pi) from a seeded PCG64 generator,
-    drawn in a fixed lattice order; opposite wavevectors are conjugate so
-    the field is real.  Of each pair, the member with k2 >= 0 is stored
-    (both when k2 = 0).
+    drawn in a fixed lattice order over the square |k1|, |k2| <=
+    RANDOM_LATTICE_CUTOFF, whose shells also give N(K); opposite
+    wavevectors are conjugate so the field is real.  The field at n keeps
+    the modes within dealias_cutoff(n), so it is the truncation of one
+    fixed field.  Of each pair, the member with k2 >= 0 is stored (both
+    when k2 = 0).
     """
     if n < 32:
         raise ConfigError("random flow needs n >= 32")
     rng = np.random.Generator(np.random.PCG64(seed))
     s = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    kc = spectral.dealias_cutoff(n)
-    # members of each shell K <= |k| < K+1 inside the dealias square
+    kc = RANDOM_LATTICE_CUTOFF
+    # members of each shell K <= |k| < K+1 inside the lattice square
     k = np.arange(-kc, kc + 1)
     shells = np.floor(np.hypot(k[:, None], k)).astype(np.int64)
     counts = np.bincount(shells.ravel())
@@ -151,8 +160,10 @@ def make_random_flow(n, seed):
     member = ((k1 > 0) | (k2 > 0)) & (shell >= 1) & (shell <= kc)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=np.count_nonzero(member))
     modulus = moduli[shell[member]]
-    kept = modulus >= MODULUS_FLOOR
-    k1, k2 = k1[member][kept], k2[member][kept]
+    k1, k2 = k1[member], k2[member]
+    kn = spectral.dealias_cutoff(n)
+    kept = (modulus >= MODULUS_FLOOR) & (k1 <= kn) & (np.abs(k2) <= kn)
+    k1, k2 = k1[kept], k2[kept]
     value = modulus[kept] * np.exp(1j * phase[kept])
     upper = k2 >= 0
     s[k1[upper], k2[upper]] = value[upper]
@@ -187,13 +198,40 @@ def initial_vorticity(config):
 
 def radius_probe(omega, depth):
     """Fit the L2-norm series of a deep displacement stack; returns
-    (FitReport or None, norm sequence)."""
-    _, norms = lagrangian.build_stack(omega, depth)
+    (FitReport or None, norm sequence).
+
+    From n = 256 up, at a depth that fit_radius can fit, the stack is first
+    built from omega truncated to the n/2 grid.  It is kept when its deepest
+    coefficient holds at most HALF_GRID_BAND_SHARE of its gradient energy
+    in the band max(|k1|, |k2|) > K' - 4, K' the n/2 dealias cutoff;
+    otherwise the stack is built on the full grid.  Below n = 256 the half
+    grid never resolves a depth-40 stack, so it is not tried.
+    """
+    n = omega.shape[-2]
+    resolved = False
+    if n >= 256 and depth >= diagnostics.RADIUS_S_MIN + 3:
+        grads, norms = lagrangian.build_stack(spectral.truncate(omega, n // 2), depth)
+        resolved = _resolved(grads[-1])
+        del grads  # freed before a full-grid stack is built
+    if not resolved:
+        _, norms = lagrangian.build_stack(omega, depth)
     try:
         report = diagnostics.fit_radius(norms)
     except InsufficientDataError:
         return None, norms
     return report, norms
+
+
+def _resolved(g):
+    """Whether at most HALF_GRID_BAND_SHARE of sum |g_k|^2, over the
+    components of the (2, 2, m, m) gradient grids g, lies in the band
+    max(|k1|, |k2|) > dealias_cutoff(m) - 4 (so g = 0 is resolved)."""
+    m = g.shape[-1]
+    k1, k2 = spectral.wavegrid(m)
+    band = np.maximum(np.abs(k1), k2) > spectral.dealias_cutoff(m) - 4
+    g_hat = spectral.forward(g)
+    power = spectral.half_plane_weights(m) * (g_hat.real**2 + g_hat.imag**2)
+    return np.sum(power[..., band]) <= HALF_GRID_BAND_SHARE * np.sum(power)
 
 
 class _Record:

@@ -172,6 +172,22 @@ def dealias(s):
     return s * dealias_mask(_grid_size(s))
 
 
+def truncate(s, m):
+    """The modes of s within dealias_cutoff(m), as a half spectrum on the m grid.
+
+    m is at most the grid size n of s; truncate(s, n) is dealias(s).
+    """
+    n = _grid_size(s)
+    if m > n:
+        raise ValueError(f"cannot truncate an n={n} spectrum to a finer grid m={m}")
+    kc = dealias_cutoff(m)
+    out = np.zeros(s.shape[:-2] + (m, m // 2 + 1), dtype=s.dtype)
+    out[..., : kc + 1, : kc + 1] = s[..., : kc + 1, : kc + 1]
+    # the rows k1 = -kc..-1, empty when kc is 0
+    out[..., m - kc : m, : kc + 1] = s[..., n - kc : n, : kc + 1]
+    return out
+
+
 def gradient(s):
     """Spectral gradient of a scalar field; returns a (2, n, n//2+1) vector."""
     if s.ndim != 2:

@@ -48,9 +48,11 @@ class TestInitialConditions:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_random_flow_matches_brute_force_count(self, n):
-        # shells counted by a loop over the dealias square, phases drawn in
-        # the same lattice order: the field must agree bit for bit
-        kc = spectral.dealias_cutoff(n)
+        # shells counted by a loop over the fixed lattice square (the n = 256
+        # dealias square), phases drawn in the same lattice order, modes kept
+        # within the dealias square of n: the field must agree bit for bit
+        kc = 85
+        kn = spectral.dealias_cutoff(n)
         count = {}
         for k1 in range(-kc, kc + 1):
             for k2 in range(-kc, kc + 1):
@@ -65,7 +67,7 @@ class TestInitialConditions:
                     continue
                 modulus = 2.0 * shell**3.5 * np.exp(-(shell**2) / 4.0) / count[shell]
                 value = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-                if modulus < 1e-18:
+                if modulus < 1e-18 or k1 > kn or abs(k2) > kn:
                     continue
                 if k2 >= 0:
                     want[k1 % n, k2] = value
@@ -80,6 +82,15 @@ class TestInitialConditions:
         assert spectral.is_hermitian(s)
         back = spectral.forward(spectral.inverse(s))
         assert np.max(np.abs(back - s)) < 1e-13
+
+    def test_random_flow_is_one_field_truncated(self):
+        # the flow at n is the flow at 512 truncated, so a probe's n/2 grid
+        # starts from the flow at n/2
+        for seed in (0, 3):
+            fine = runner.make_random_flow(512, seed)
+            for n in (64, 128, 256):
+                np.testing.assert_array_equal(
+                    spectral.truncate(fine, n), runner.make_random_flow(n, seed))
 
     def test_random_flow_deterministic(self):
         a = runner.make_random_flow(64, seed=7)
@@ -776,13 +787,80 @@ def test_radius_probe_reports_fit():
 
 
 def test_radius_probe_keeps_only_norms():
-    # the depth-40 probe holds its gradient grids, not its coefficients
-    omega = runner.make_four_mode(64)
-    runner.radius_probe(omega, 13)  # fill the transform caches first
-    tracemalloc.start()
-    try:
-        runner.radius_probe(omega, 40)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * (40 * 2 * 2 * 64 * 64 * 8)
+    # the depth-40 probe holds its gradient grids, not its coefficients; at
+    # n = 256 the four-mode stack is resolved on, and held at, the half grid
+    for n, grid in ((64, 64), (256, 128)):
+        omega = runner.make_four_mode(n)
+        runner.radius_probe(omega, 13)  # fill the transform caches first
+        tracemalloc.start()
+        try:
+            runner.radius_probe(omega, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (40 * 2 * 2 * grid * grid * 8), f"n={n}"
+
+
+def _stack_grids(monkeypatch):
+    """The grid size of each lagrangian.build_stack call, in call order."""
+    grids = []
+    build = lagrangian.build_stack
+
+    def spy(omega, order):
+        grids.append(omega.shape[-2])
+        return build(omega, order)
+
+    monkeypatch.setattr(lagrangian, "build_stack", spy)
+    return grids
+
+
+class TestRadiusProbeGrid:
+    def test_resolved_stack_stays_on_the_half_grid(self, monkeypatch):
+        omega = runner.make_four_mode(256)
+        _, full = lagrangian.build_stack(omega, 40)
+        want = diagnostics.fit_radius(full).radius
+        grids = _stack_grids(monkeypatch)
+        report, norms = runner.radius_probe(omega, 40)
+        assert grids == [128]
+        assert len(norms) == 40
+        assert report.radius == pytest.approx(want, rel=1e-5)
+
+    def test_unresolved_stack_falls_back_to_the_full_grid(self, monkeypatch):
+        omega = runner.initial_vorticity(runner.RunConfig(initial="random:0", n=256))
+        _, want = lagrangian.build_stack(omega, 40)
+        grids = _stack_grids(monkeypatch)
+        _, norms = runner.radius_probe(omega, 40)
+        assert grids == [128, 256]
+        np.testing.assert_array_equal(norms, want)
+
+    def test_rest_state_stays_on_the_half_grid(self, monkeypatch):
+        # a zero stack has no energy in the band: the half grid resolves it
+        grids = _stack_grids(monkeypatch)
+        report, norms = runner.radius_probe(np.zeros((256, 129), dtype=complex), 40)
+        assert grids == [128]
+        assert report is None
+        np.testing.assert_array_equal(norms, np.zeros(40))
+
+    def test_no_half_grid_below_256(self, monkeypatch):
+        grids = _stack_grids(monkeypatch)
+        runner.radius_probe(runner.make_four_mode(128), 40)
+        assert grids == [128]
+
+    @pytest.mark.parametrize("depth", [0, 12])
+    def test_depth_too_shallow_to_fit(self, monkeypatch, depth):
+        # below RADIUS_S_MIN + 3 no fit is possible, so no half grid is tried
+        omega = runner.make_four_mode(256)
+        _, want = lagrangian.build_stack(omega, depth)
+        grids = _stack_grids(monkeypatch)
+        report, norms = runner.radius_probe(omega, depth)
+        assert report is None
+        assert grids == [256]
+        np.testing.assert_array_equal(norms, want)
+
+    def test_cli_depth_zero_at_256(self, tmp_path):
+        code = cli.main([
+            "run", "--method", "CL", "--n", "256", "--t-end", "0.01",
+            "--radius-cadence", "1", "--radius-depth", "0",
+            "--output-dir", str(tmp_path / "run"),
+        ])
+        assert code == 0

@@ -84,6 +84,28 @@ class TestDealias:
         np.testing.assert_array_equal(spectral.dealias(once), once)
 
 
+class TestTruncate:
+    @pytest.mark.parametrize("m", [32, 33, 48])
+    def test_keeps_exactly_the_modes_within_the_cutoff(self, m):
+        n = 64
+        s = spectral.forward(random_band_limited(n, 31, seed=11))
+        got = spectral.truncate(s, m)
+        assert got.shape == (m, m // 2 + 1)
+        kc = spectral.dealias_cutoff(m)
+        k1, k2 = spectral.wavegrid(m)
+        inside = (np.abs(k1) <= kc) & (k2 <= kc)
+        np.testing.assert_array_equal(got[inside], s[k1[inside] % n, k2[inside]])
+        assert np.all(got[~inside] == 0.0)
+
+    def test_same_grid_returns_a_dealiased_field(self):
+        s = spectral.dealias(spectral.forward(random_band_limited(64, 31, seed=12)))
+        np.testing.assert_array_equal(spectral.truncate(s, 64), s)
+
+    def test_finer_grid_rejected(self):
+        with pytest.raises(ValueError, match="finer grid"):
+            spectral.truncate(np.zeros((32, 17), dtype=complex), 64)
+
+
 class TestGradient:
     def test_cos_a(self):
         a, _ = spectral.grid_coordinates(64)
