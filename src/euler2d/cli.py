@@ -75,8 +75,9 @@ def _cmd_run(args):
     try:
         artifacts = runner.run(config, output_dir=args.output_dir)
     except MemoryError:
-        raise MemoryError(f"n={config.n}, order {config.order}, "
-                          f"radius depth {config.radius_depth}") from None
+        probes = config.method == "CL" and config.radius_cadence
+        depth = f", radius depth {config.radius_depth}" if probes else ""
+        raise MemoryError(f"n={config.n}, order {config.order}{depth}") from None
     print(
         f"{config.method} finished at t={artifacts.t:.6f} "
         f"after {len(artifacts.steps)} steps -> {args.output_dir}"

@@ -113,9 +113,9 @@ def build_stack(omega_init, order):
 _DT_SAFETY = 1.0 - 1e-9
 
 
-def choose_step(norms, epsilon, radius=None):
+def choose_step(norms, epsilon, radius=np.inf):
     """Largest dt with norms[S]*dt^S < epsilon, as a float, capped at
-    radius*e^-2 when a convergence radius is given.
+    radius*e^-2 for a convergence radius (the default inf sets no cap).
 
     A zero top norm (rest state) sets no bound: the criterion gives inf.
     """
@@ -124,9 +124,7 @@ def choose_step(norms, epsilon, radius=None):
     norms = np.asarray(norms, dtype=np.float64)
     with np.errstate(divide="ignore"):
         dt = (epsilon / norms[-1]) ** (1.0 / len(norms)) * _DT_SAFETY
-    if radius is not None:
-        dt = min(dt, radius * np.exp(-2.0))
-    return float(dt)
+    return float(min(dt, radius * np.exp(-2.0)))
 
 
 def evaluate_displacement(grads, dt):

@@ -2,7 +2,7 @@
 
 One Lagrangian step: build the displacement Taylor stack from the
 vorticity, take dt from lagrangian.choose_step (norms[S] * dt^S <
-epsilon, capped by R*e^-2 once a radius estimate exists) clipped at t_end,
+epsilon, capped by R*e^-2 for the latest fitted radius R) clipped at t_end,
 evaluate the truncated series to particle positions, check monotonicity,
 revert the step's initial vorticity grid from those positions by cascade
 interpolation, restart from the new Eulerian field.  Eulerian methods march
@@ -10,14 +10,16 @@ with the fixed dt of RunConfig.dt, each stepper mapping the spectral
 vorticity to the next.
 The stages pass plain arrays.  One loop, ``_march``, drives every method
 and owns t and the step rows; ``_run_cl`` and ``_run_eulerian`` only supply
-its per-step ``advance``.  One ``_Record`` holds the run's artifacts and
-writes its files.
+its per-step ``advance``.  ``_run_cl``'s ``advance`` runs the radius probe
+when it falls due, then takes the whole Lagrangian step; the latest fitted
+R is a value of that closure, inf (no cap) until a probe's fit succeeds.
+One ``_Record`` holds the run's artifacts and writes its files.
 
 A step's Taylor stack (the grid gradients and norms of its coefficients,
 not the coefficients), particle positions and reverted grid are locals of
-``_cl_step``, so they are freed when the step returns, before the next step
-(or radius probe) builds its stack.  The radius probe keeps only the norms
-of its deep stack.
+that ``advance``, so they are freed when the step returns, before the next
+step (or radius probe) builds its stack.  The radius probe keeps only the
+norms of its deep stack.
 
 ``run`` sets glibc's allocator policy for the whole process (see
 ``_hold_freed_heap``): blocks under 32 MiB come from the heap, and its free
@@ -138,16 +140,15 @@ def make_random_flow(n, seed):
     Phases are i.i.d. uniform on [0, 2pi) from a seeded PCG64 generator,
     drawn in a fixed lattice order over the square |k1|, |k2| <=
     RANDOM_LATTICE_CUTOFF, whose shells also give N(K); opposite
-    wavevectors are conjugate so the field is real.  The field at n keeps
-    the modes within dealias_cutoff(n), so it is the truncation of one
-    fixed field.  Of each pair, the member with k2 >= 0 is stored (both
-    when k2 = 0).
+    wavevectors are conjugate so the field is real.  That one lattice field
+    is filled on a grid that holds it, and the field at n is its
+    spectral.truncate to n.  Of each pair, the member with k2 >= 0 is
+    stored (both when k2 = 0).
     """
-    if n < 32:
-        raise ConfigError("random flow needs n >= 32")
     rng = np.random.Generator(np.random.PCG64(seed))
-    s = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     kc = RANDOM_LATTICE_CUTOFF
+    m = max(n, 3 * kc + 1)
+    s = np.zeros((m, m // 2 + 1), dtype=np.complex128)
     # members of each shell K <= |k| < K+1 inside the lattice square
     k = np.arange(-kc, kc + 1)
     shells = np.floor(np.hypot(k[:, None], k)).astype(np.int64)
@@ -160,16 +161,14 @@ def make_random_flow(n, seed):
     member = ((k1 > 0) | (k2 > 0)) & (shell >= 1) & (shell <= kc)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=np.count_nonzero(member))
     modulus = moduli[shell[member]]
-    k1, k2 = k1[member], k2[member]
-    kn = spectral.dealias_cutoff(n)
-    kept = (modulus >= MODULUS_FLOOR) & (k1 <= kn) & (np.abs(k2) <= kn)
-    k1, k2 = k1[kept], k2[kept]
+    kept = modulus >= MODULUS_FLOOR
+    k1, k2 = k1[member][kept], k2[member][kept]
     value = modulus[kept] * np.exp(1j * phase[kept])
     upper = k2 >= 0
     s[k1[upper], k2[upper]] = value[upper]
     lower = k2 <= 0
-    s[-k1[lower] % n, -k2[lower]] = np.conj(value[lower])
-    return s
+    s[-k1[lower] % m, -k2[lower]] = np.conj(value[lower])
+    return spectral.truncate(s, n)
 
 
 def _flow(initial):
@@ -367,58 +366,51 @@ def _march(config, omega, advance, record):
 
 
 def _run_cl(config, omega, record):
-    radii = record.artifacts.radius_series
+    radius = np.inf  # the latest fitted radius; it caps each step (choose_step)
 
     def advance(omega, step, t):
+        """Probe when due, then take Lagrangian step number step + 1 from (omega, t)."""
+        nonlocal radius
         if config.radius_cadence and step % config.radius_cadence == 0:
             report, norms = radius_probe(omega, config.radius_depth)
             record.probe(step, t, report, norms)
-        # the latest fitted radius caps the step (choose_step)
-        r_estimate = radii[-1][2] if radii else None
-        return _cl_step(config, omega, step, t, r_estimate)
+            if report is not None:
+                radius = report.radius
+        if config.order == "auto":
+            amplitude = spectral.norm_l2(spectral.velocity_from_vorticity(omega))
+            order = lagrangian.step_order_controller(config.epsilon, amplitude)
+        else:
+            order = config.order
+        grads, norms = lagrangian.build_stack(omega, order)
+        dt_raw = lagrangian.choose_step(norms, config.epsilon, radius)
+        dt = min(dt_raw, config.t_end - t)
+
+        omega_grid = spectral.inverse(omega, check=False)
+        rejections = 0
+        while True:
+            try:
+                positions, jac = lagrangian.evaluate_displacement(grads, dt)
+                reverted = interpolation.cascade_revert(positions, omega_grid)
+                break
+            except (StepTooLargeError, ReversionError):
+                rejections += 1
+                if rejections > MAX_REJECTIONS:
+                    raise
+                dt *= 0.5
+
+        new_omega = spectral.dealias(spectral.forward(reverted))
+        new_omega[0, 0] = 0.0
+        if not np.all(np.isfinite(new_omega.view(np.float64))):
+            raise NumericalError(f"non-finite vorticity after step {step + 1}")
+        return new_omega, dt, {
+            "dt_unclipped": dt_raw,
+            "order": order,
+            "truncation_term": norms[-1] * dt**order,
+            "jacobian_min": float(np.min(jac)),
+            "rejections": rejections,
+        }
 
     _march(config, omega, advance, record)
-
-
-def _cl_step(config, omega, step, t, r_estimate):
-    """Lagrangian step number step + 1 from (omega, t).
-
-    Returns the new spectral vorticity, the dt taken and the CL fields of
-    the step row.
-    """
-    if config.order == "auto":
-        amplitude = spectral.norm_l2(spectral.velocity_from_vorticity(omega))
-        order = lagrangian.step_order_controller(config.epsilon, amplitude)
-    else:
-        order = config.order
-    grads, norms = lagrangian.build_stack(omega, order)
-    dt_raw = lagrangian.choose_step(norms, config.epsilon, r_estimate)
-    dt = min(dt_raw, config.t_end - t)
-
-    omega_grid = spectral.inverse(omega, check=False)
-    rejections = 0
-    while True:
-        try:
-            positions, jac = lagrangian.evaluate_displacement(grads, dt)
-            reverted = interpolation.cascade_revert(positions, omega_grid)
-            break
-        except (StepTooLargeError, ReversionError):
-            rejections += 1
-            if rejections > MAX_REJECTIONS:
-                raise
-            dt *= 0.5
-
-    new_omega = spectral.dealias(spectral.forward(reverted))
-    new_omega[0, 0] = 0.0
-    if not np.all(np.isfinite(new_omega.view(np.float64))):
-        raise NumericalError(f"non-finite vorticity after step {step + 1}")
-    return new_omega, dt, {
-        "dt_unclipped": dt_raw,
-        "order": order,
-        "truncation_term": norms[-1] * dt**order,
-        "jacobian_min": float(np.min(jac)),
-        "rejections": rejections,
-    }
 
 
 def _run_eulerian(config, omega, record):

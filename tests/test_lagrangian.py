@@ -213,10 +213,13 @@ class TestChooseStep:
         assert lagrangian.choose_step(norms, 1e-12, radius=0.1) == 0.1 * np.exp(-2.0)
         assert 1.0 * np.exp(-2.0) > free
         assert lagrangian.choose_step(norms, 1e-12, radius=1.0) == free
+        # an infinite radius is no cap at all
+        assert lagrangian.choose_step(norms, 1e-12, radius=np.inf) == free
 
     def test_zero_top_norm(self):
         # a rest state sets no bound, unless a radius is given
         assert lagrangian.choose_step(np.zeros(4), 1e-12) == np.inf
+        assert lagrangian.choose_step(np.zeros(4), 1e-12, radius=np.inf) == np.inf
         assert lagrangian.choose_step(np.zeros(4), 1e-12, radius=0.5) == 0.5 * np.exp(-2.0)
 
     def test_bad_epsilon(self):

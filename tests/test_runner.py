@@ -46,7 +46,7 @@ class TestInitialConditions:
                 k1, k2 = -k1, -k2
             assert abs(s[k1 % n, k2]) == pytest.approx(want, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("n", [16, 32, 64])
     def test_random_flow_matches_brute_force_count(self, n):
         # shells counted by a loop over the fixed lattice square (the n = 256
         # dealias square), phases drawn in the same lattice order, modes kept
@@ -88,7 +88,7 @@ class TestInitialConditions:
         # starts from the flow at n/2
         for seed in (0, 3):
             fine = runner.make_random_flow(512, seed)
-            for n in (64, 128, 256):
+            for n in (16, 24, 32, 48, 64, 128, 256):
                 np.testing.assert_array_equal(
                     spectral.truncate(fine, n), runner.make_random_flow(n, seed))
 
@@ -374,6 +374,26 @@ class TestRunLoop:
         for rec in art.steps:
             assert rec["dt_unclipped"] == pytest.approx(0.05 * np.exp(-2.0), rel=1e-14)
 
+    def test_radius_cap_outlives_failed_fits(self, monkeypatch):
+        # only the probe at step 0 fits; the later probes return no report,
+        # so every step stays capped by that first radius
+        report = diagnostics.FitReport(
+            alpha=0.0, beta=-np.log(0.05), gamma=1.0, radius=0.05, fit_window=(1, 2)
+        )
+        probes = []
+
+        def probe(omega, depth):
+            probes.append(None)
+            return (report if len(probes) == 1 else None), [1.0]
+
+        monkeypatch.setattr(runner, "radius_probe", probe)
+        config = runner.RunConfig(method="CL", n=32, t_end=0.03, radius_cadence=1)
+        art = runner.run(config)
+        assert len(art.steps) == len(probes) == 5
+        assert [step for step, _, _ in art.radius_series] == [0]
+        for rec in art.steps:
+            assert rec["dt_unclipped"] == 0.05 * np.exp(-2.0)
+
     def test_failed_run_keeps_records(self, tmp_path, monkeypatch):
         # from the 4th call on every reversion fails, so step 4 is rejected
         # until MAX_REJECTIONS halvings are spent and the run fails
@@ -492,6 +512,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "n=32" in err and "order 6" in err and "radius depth 20" in err
+        # with no probe the depth plays no part, so the message leaves it out
+        code = cli.main([
+            "run", "--method", "CL", "--n", "32", "--order", "6", "--t-end", "0.1",
+            "--radius-depth", "20", "--radius-cadence", "0",
+            "--output-dir", str(tmp_path / "y"),
+        ])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "n=32" in err and "order 6" in err and "radius depth" not in err
 
     def test_compare_command(self, tmp_path):
         args = ["run", "--method", "RK4", "--dt", "0.05", "--n", "64",
