@@ -85,9 +85,10 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
+    # read both runs before the output directory exists, so bad input leaves none
+    header, rows = runner.compare_dirs(args.dir_a, args.dir_b)
     os.makedirs(args.output_dir, exist_ok=True)
-    out = os.path.join(args.output_dir, "discrepancy.csv")
-    header, rows = runner.compare_dirs(args.dir_a, args.dir_b, out)
+    io.write_csv(os.path.join(args.output_dir, "discrepancy.csv"), header, rows)
     print(",".join(header))
     for row in rows:
         print(",".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in row))

@@ -3,7 +3,7 @@
 d omega/dt + (v . grad) omega = 0 with curl(v) = omega, advanced by
 explicit midpoint (RK2), classical RK4, or the Eulerian time-Taylor
 series (ET-S).  Products are formed pseudospectrally and dealiased where
-they are formed; stage sums, linear in dealiased fields, need no mask.
+they are formed; stage sums, linear in dealiased fields, need no dealiasing.
 """
 
 import numpy as np

@@ -46,11 +46,10 @@ def next_coefficient(grads, omega_init, s):
 
 
 def _solve_curl_div(curl_div):
-    """Spectral xi = perp-grad(psi) + grad(phi), zero-mean psi and phi, whose
-    curl and div are the dealiased spectral curl_div[0] and curl_div[1]."""
-    n = curl_div.shape[-2]
-    ik1, ik2 = spectral.derivative_multipliers(n)
-    psi_phi = curl_div * spectral.dealiased_inverse_laplacian(n)
+    """Spectral xi = perp-grad(psi) + grad(phi) whose curl and div are the dealiased
+    curl_div[0] and curl_div[1]: (psi, phi) = inverse_laplacian(dealias(curl_div))."""
+    ik1, ik2 = spectral.derivative_multipliers(curl_div.shape[-2])
+    psi_phi = spectral.inverse_laplacian(spectral.dealias(curl_div))
     xi = ik1 * psi_phi[::-1]  # (ik1 phi, ik1 psi)
     xi[0] -= ik2 * psi_phi[0]
     xi[1] += ik2 * psi_phi[1]

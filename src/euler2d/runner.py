@@ -428,8 +428,8 @@ def _run_eulerian(config, omega, record):
     _march(config, omega, advance, record)
 
 
-def compare_dirs(dir_a, dir_b, out_path=None):
-    """Per-time discrepancy CSV from the *.field files of two run directories."""
+def compare_dirs(dir_a, dir_b):
+    """Per-time discrepancy (header, rows) from the *.field files of two run directories."""
 
     def load(d):
         fdir = os.path.join(d, "fields")
@@ -461,7 +461,4 @@ def compare_dirs(dir_a, dir_b, out_path=None):
                 abs(diagnostics.enstrophy(sa) - diagnostics.enstrophy(sb)),
             ]
         )
-    header = ["t", "max_discrepancy", "energy_error", "enstrophy_error"]
-    if out_path:
-        io.write_csv(out_path, header, rows)
-    return header, rows
+    return ["t", "max_discrepancy", "energy_error", "enstrophy_error"], rows

@@ -24,6 +24,9 @@ as Parseval norms, weight each stored mode by half_plane_weights(n).
 The odd-derivative multipliers 1j*k are zero on the Nyquist row and
 column (n even): a Nyquist mode sampled on the grid has no derivative
 that is both real and consistent with its -k partner.
+
+The 2/3 rule keeps the modes with |k1|, |k2| <= dealias_cutoff(n); truncate
+alone decides that set, and dealias is truncate to the field's own grid.
 """
 
 import functools
@@ -80,25 +83,6 @@ def _inverse_laplacian_multiplier(n):
     out = -1.0 / k2norm
     out[0, 0] = 0.0
     return _frozen(out)
-
-
-@_cached
-def dealias_mask(n):
-    """Read-only 0/1 mask of the modes kept by the 2/3 rule.
-
-    Stored as complex128 so that masking a spectral field is a product
-    within one dtype.
-    """
-    k1, k2 = wavegrid(n)
-    kc = dealias_cutoff(n)
-    keep = (np.abs(k1) <= kc) & (np.abs(k2) <= kc)
-    return _frozen(keep.astype(np.complex128))
-
-
-@_cached
-def dealiased_inverse_laplacian(n):
-    """Read-only real multiplier of inverse_laplacian after dealias, as one product."""
-    return _frozen(dealias_mask(n).real * _inverse_laplacian_multiplier(n))
 
 
 @_cached
@@ -168,14 +152,14 @@ def inverse(s, check=True, out=None):
 
 
 def dealias(s):
-    """Zero modes beyond the square 2/3-rule cutoff (idempotent projection)."""
-    return s * dealias_mask(_grid_size(s))
+    """truncate(s, n) to s's own grid n: a new, dealiased array (idempotent)."""
+    return truncate(s, _grid_size(s))
 
 
 def truncate(s, m):
-    """The modes of s within dealias_cutoff(m), as a half spectrum on the m grid.
+    """The modes of s within dealias_cutoff(m), as a new half spectrum on the m grid.
 
-    m is at most the grid size n of s; truncate(s, n) is dealias(s).
+    m is at most the grid size n of s; no other code decides the 2/3 rule's modes.
     """
     n = _grid_size(s)
     if m > n:

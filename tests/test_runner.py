@@ -452,12 +452,9 @@ class TestRunLoop:
                                   output_cadence=2)
         runner.run(config, output_dir=str(tmp_path / "a"))
         runner.run(config, output_dir=str(tmp_path / "b"))
-        header, rows = runner.compare_dirs(
-            str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "d.csv")
-        )
+        header, rows = runner.compare_dirs(str(tmp_path / "a"), str(tmp_path / "b"))
         assert header[0] == "t"
         assert all(row[1] == 0.0 for row in rows)
-        assert (tmp_path / "d.csv").exists()
 
     def test_compare_skips_partial_field(self, tmp_path):
         # a run killed mid-write leaves "<name>.field.tmp" in fields/
@@ -652,6 +649,7 @@ class TestCli:
             "compare", str(path), str(path), "--output-dir", str(tmp_path / "cmp"),
         ])
         assert code == 2
+        assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize(
         "text", ["s,norm\n1,0.5\n2,abc\n", "s\n1\n2\n", ""],

@@ -83,6 +83,13 @@ class TestDealias:
         once = spectral.dealias(spectral.forward(g))
         np.testing.assert_array_equal(spectral.dealias(once), once)
 
+    def test_returns_a_new_array(self):
+        # callers write the k = 0 mode of the result in place
+        s = spectral.forward(random_band_limited(64, 30, seed=4))
+        before = s.copy()
+        spectral.dealias(s)[...] = 7.0
+        np.testing.assert_array_equal(s, before)
+
 
 class TestTruncate:
     @pytest.mark.parametrize("m", [32, 33, 48])
@@ -96,6 +103,17 @@ class TestTruncate:
         inside = (np.abs(k1) <= kc) & (k2 <= kc)
         np.testing.assert_array_equal(got[inside], s[k1[inside] % n, k2[inside]])
         assert np.all(got[~inside] == 0.0)
+
+    @pytest.mark.parametrize("m", [32, 33, 64])
+    def test_vector_components_truncate_as_scalars(self, m):
+        # the (2, n, n//2+1) path of lagrangian._solve_curl_div
+        n = 64
+        v = spectral.forward(np.stack([random_band_limited(n, 31, seed=13),
+                                       random_band_limited(n, 31, seed=14)]))
+        got = spectral.truncate(v, m)
+        assert got.shape == (2, m, m // 2 + 1)
+        for c in range(2):
+            np.testing.assert_array_equal(got[c], spectral.truncate(v[c], m))
 
     def test_same_grid_returns_a_dealiased_field(self):
         s = spectral.dealias(spectral.forward(random_band_limited(64, 31, seed=12)))
