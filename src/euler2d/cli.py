@@ -2,8 +2,10 @@
 
 Subcommands: run, compare, radius (offline fit on a norms CSV), spectrum.
 Exit codes: 0 success, 2 configuration or input error (including a path
-that is missing, taken, of the wrong kind or not permitted), 3 numerical failure
-(including a step that stays too large after the allowed halvings), 4
+that is missing, taken, of the wrong kind or not permitted, and a fixed dt
+that needs more than runner.MAX_STEPS steps), 3 numerical failure (including a
+step that stays too large after the allowed halvings, an Eulerian blow-up and a
+step too small to reach t_end within MAX_STEPS steps), 4
 reversion failure, 5 any other Euler2DError (a safety net: every class in
 errors.py maps to 2, 3 or 4), 6 out of memory (a run's message names n, the
 order and the radius depth).

@@ -4,12 +4,20 @@ d omega/dt + (v . grad) omega = 0 with curl(v) = omega, advanced by
 explicit midpoint (RK2), classical RK4, or the Eulerian time-Taylor
 series (ET-S).  Products are formed pseudospectrally and dealiased where
 they are formed; stage sums, linear in dealiased fields, need no dealiasing.
+Products, transforms and sums run under _quiet, so a step that blows up
+raises NumericalError from a finiteness check and prints no numpy warning.
 """
 
 import numpy as np
 
 from . import series, spectral
 from .errors import NumericalError
+
+
+def _quiet(func):
+    """func with overflow and NaN left to the finiteness checks to report.
+    Each function gets an errstate of its own: numpy 1.x cannot re-enter one."""
+    return np.errstate(over="ignore", invalid="ignore")(func)
 
 
 def rhs(omega):
@@ -24,6 +32,7 @@ def _check(omega):
     return omega
 
 
+@_quiet
 def rk2_step(omega, dt):
     """Explicit midpoint step of the spectral vorticity."""
     k1 = rhs(omega)
@@ -31,6 +40,7 @@ def rk2_step(omega, dt):
     return _check(omega + dt * k2)
 
 
+@_quiet
 def rk4_step(omega, dt):
     """Classical fourth-order Runge-Kutta step of the spectral vorticity."""
     k1 = rhs(omega)
@@ -40,6 +50,7 @@ def rk4_step(omega, dt):
     return _check(omega + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
+@_quiet
 def et_coefficients(omega0, order):
     """Taylor coefficients [w_0..w_order] from (s+1) w_{s+1} = -sum_m (v_m . grad) w_{s-m}."""
     coeffs = [omega0]
@@ -65,6 +76,7 @@ def et_coefficients(omega0, order):
     return coeffs
 
 
+@_quiet
 def et_step(omega, dt, order):
     """Advance by summing the truncated vorticity Taylor series (Horner)."""
     return _check(series.horner(et_coefficients(omega, order), dt))

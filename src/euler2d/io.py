@@ -2,9 +2,11 @@
 
 Field format: a 64-byte ASCII header "EULER2D1 n=... c=1 t=..." padded
 with spaces, followed by the n*n values of one scalar field as raw
-little-endian float64, row-major.  Round-trips are bit-exact.  Every writer
-writes its file whole to "<path>.tmp" and then renames it over the target,
-so a write that fails part way leaves the previous file as it was.
+little-endian float64, row-major.  Round-trips are bit-exact.  Every
+whole-file writer writes its file to "<path>.tmp" and then renames it over
+the target, so a write that fails part way leaves the previous file as it
+was.  append_csv adds one row to a CSV and closes it, so a process that is
+killed keeps every row appended before.
 """
 
 import contextlib
@@ -77,6 +79,12 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def append_csv(path, header, row):
+    """Append row to the CSV at path, after header while the file is empty."""
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerows([header, row] if fh.tell() == 0 else [row])
 
 
 def read_csv(path):

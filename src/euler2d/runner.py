@@ -13,7 +13,9 @@ and owns t and the step rows; ``_run_cl`` and ``_run_eulerian`` only supply
 its per-step ``advance``.  ``_run_cl``'s ``advance`` runs the radius probe
 when it falls due, then takes the whole Lagrangian step; the latest fitted
 R is a value of that closure, inf (no cap) until a probe's fit succeeds.
-One ``_Record`` holds the run's artifacts and writes its files.
+One ``_Record`` holds the run's artifacts and writes each file, and each
+row of steps.csv, conservation.csv and radius.csv, when the run makes it,
+so a run that is killed keeps its record up to that point.
 
 A step's Taylor stack (the grid gradients and norms of its coefficients,
 not the coefficients), particle positions and reverted grid are locals of
@@ -29,6 +31,7 @@ process-global and stays after ``run`` returns.  On a libc without
 musl's stub does) ``run`` warns with a ``RuntimeWarning``.
 """
 
+import contextlib
 import ctypes
 import os
 import warnings
@@ -49,6 +52,9 @@ METHODS = ("CL", "RK2", "RK4", "ET")
 INITIALS = ("four_mode", "random", "ab")
 
 MAX_REJECTIONS = 5
+# a run may take at most this many steps: RunConfig.validate rejects a fixed
+# dt that needs more, and _march stops a run whose step would need more
+MAX_STEPS = 100_000
 # random-flow modes below this modulus are left at zero
 MODULUS_FLOOR = 1e-18
 # the random flow's phases are drawn over |k1|, |k2| <= this cutoff, the
@@ -99,6 +105,9 @@ class RunConfig:
             raise ConfigError("CL chooses its own steps: dt is for RK2, RK4 and ET")
         if self.method in ("RK2", "RK4", "ET") and self.t_end > 0 and not self.dt:
             raise ConfigError(f"{self.method} requires a fixed dt")
+        if self.dt and self.t_end / self.dt > MAX_STEPS:
+            raise ConfigError(f"t_end/dt = {self.t_end / self.dt:.3g} steps, "
+                              f"more than MAX_STEPS={MAX_STEPS}")
         for name in ("output_cadence", "radius_cadence", "radius_depth", "checkpoint_cadence"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
@@ -246,6 +255,10 @@ class _Record:
             raise FileExistsError(f"{output_dir} already holds a run") from None
         settings = {k: v for k, v in asdict(config).items() if v is not None}
         self._write("config.txt", io.write_config, settings)
+        self._write("radius.csv", io.write_csv, ["step", "t", "radius"], [])
+        for name in ("conservation.csv", "steps.csv"):  # rows are appended: start empty
+            with contextlib.suppress(FileNotFoundError):
+                self._write(name, os.remove)
 
     def _write(self, name, write, *args, **kwargs):
         """write(path, ...) for name under the output directory, if there is one."""
@@ -254,9 +267,9 @@ class _Record:
 
     def state(self, step, omega, t):
         """Conservation row, field file and spectrum of the state at t."""
-        self.artifacts.conservation.append(
-            (step, t, diagnostics.energy(omega), diagnostics.enstrophy(omega))
-        )
+        row = (step, t, diagnostics.energy(omega), diagnostics.enstrophy(omega))
+        self.artifacts.conservation.append(row)
+        self._write("conservation.csv", io.append_csv, ["step", "t", "energy", "enstrophy"], row)
         self._write(f"fields/omega_{step:06d}.field", _write_grid, omega, t)
         self._write(f"spectrum_{step:06d}.csv", _write_spectrum, omega)
 
@@ -265,21 +278,17 @@ class _Record:
         rows = enumerate(norms, 1)
         self._write(f"norms_{step:06d}.csv", io.write_csv, ["s", "norm"], rows)
         if report is not None:
-            self.artifacts.radius_series.append((step, t, report.radius))
+            row = (step, t, report.radius)
+            self.artifacts.radius_series.append(row)
+            self._write("radius.csv", io.append_csv, ["step", "t", "radius"], row)
+
+    def step(self, row):
+        """A step row; steps.csv takes its header from the first row's keys."""
+        self.artifacts.steps.append(row)
+        self._write("steps.csv", io.append_csv, list(row), row.values())
 
     def checkpoint(self, omega, t):
         self._write("checkpoint.field", _write_grid, omega, t)
-
-    def close(self):
-        """Write the conservation, radius and step CSVs."""
-        art = self.artifacts
-        header = ["step", "t", "energy", "enstrophy"]
-        self._write("conservation.csv", io.write_csv, header, art.conservation)
-        header = ["step", "t", "radius"]
-        self._write("radius.csv", io.write_csv, header, art.radius_series)
-        if art.steps:
-            rows = [row.values() for row in art.steps]
-            self._write("steps.csv", io.write_csv, list(art.steps[0]), rows)
 
 
 def _write_grid(path, omega, t):
@@ -326,13 +335,9 @@ def run(config, output_dir=None):
     _hold_freed_heap()
     omega = initial_vorticity(config)
     record = _Record(config, omega, output_dir)
+    record.state(0, omega, 0.0)
     method = _run_cl if config.method == "CL" else _run_eulerian
-    # a failed run still writes the records of the steps it completed
-    try:
-        record.state(0, omega, 0.0)
-        method(config, omega, record)
-    finally:
-        record.close()
+    method(config, omega, record)
     return record.artifacts
 
 
@@ -342,7 +347,9 @@ def _march(config, omega, advance, record):
     advance(omega, step, t) -> (omega, dt, fields) takes step number
     step + 1; fields holds the step-row entries that the method knows, over
     the defaults below.  The loop owns t, the step count, the step rows, the
-    output and checkpoint cadences and the record of the final state.
+    output and checkpoint cadences and the record of the final state.  It
+    raises NumericalError after a step whose dt would take the run past
+    MAX_STEPS steps before t_end.
     """
     t = 0.0
     step = 0
@@ -350,15 +357,23 @@ def _march(config, omega, advance, record):
         omega, dt, fields = advance(omega, step, t)
         t += dt
         step += 1
-        record.artifacts.steps.append({
+        row = {
             "step": step, "t": t, "dt": dt, "dt_unclipped": config.dt,
             "order": config.order, "truncation_term": 0.0,
             "jacobian_min": 1.0, "rejections": 0, **fields,
-        })
+        }
+        record.step(row)
         if config.output_cadence and step % config.output_cadence == 0:
             record.state(step, omega, t)
         if config.checkpoint_cadence and step % config.checkpoint_cadence == 0:
             record.checkpoint(omega, t)
+        left = config.t_end - t  # the loop's own tolerance spares a run's last step
+        if left > max((MAX_STEPS - step) * dt, 1e-12):
+            count = left / dt if dt > 0 else np.inf
+            raise NumericalError(
+                f"order {row['order']} at dt={dt:.3g} needs {count:.3g} more steps to "
+                f"t_end={config.t_end:g}: past MAX_STEPS={MAX_STEPS} after step {step}"
+            )
     if record.artifacts.conservation[-1][1] != t:
         record.state(step, omega, t)
     record.artifacts.omega = omega

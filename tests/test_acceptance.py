@@ -5,11 +5,13 @@ fixtures; the whole module takes a few minutes single-threaded.
 """
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from euler2d import _cascade_py, diagnostics, io, runner, spectral
+from euler2d.errors import NumericalError
 
 EPSILON = 1e-12
 # the benchmark's ET12 dt=0.005 reference field at t=1 (read only)
@@ -234,3 +236,15 @@ def test_c13_pi_rotation_symmetry(cl8_t1):
     rotated = np.roll(grid[::-1, ::-1], 1, axis=(0, 1))
     asym = np.max(np.abs(grid - rotated))
     assert asym <= 1e-13, f"pi-rotation asymmetry {asym:.3e}"
+
+
+def test_c14_steps_beyond_the_cfl_limit(cl8_t1):
+    """RK4 at dt=0.02 is past its stability limit on the four-mode flow at
+    N=256: it blows up, and says so by NumericalError alone, with no numpy
+    warning.  Every CL8 step is larger (0.0589-0.0603, the clipped last one
+    0.0451)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            _run(method="RK4", dt=0.02, n=256, t_end=1.0)
+    assert min(row["dt"] for row in cl8_t1.steps) > 0.02

@@ -131,6 +131,24 @@ class TestCsv:
         assert back == [["name", 1.0]]
 
 
+class TestAppendCsv:
+    def test_header_once(self, tmp_path):
+        path = tmp_path / "a.csv"
+        io.append_csv(path, ["step", "t"], [1, 0.1])
+        io.append_csv(path, ["step", "t"], [2, 0.2])
+        assert io.read_csv(path) == (["step", "t"], [[1.0, 0.1], [2.0, 0.2]])
+        # byte for byte what one whole-file write of the same rows gives
+        whole = tmp_path / "w.csv"
+        io.write_csv(whole, ["step", "t"], [[1, 0.1], [2, 0.2]])
+        assert path.read_bytes() == whole.read_bytes()
+
+    def test_append_to_header_only_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        io.write_csv(path, ["step", "t", "radius"], [])
+        io.append_csv(path, ["step", "t", "radius"], [0, 0.0, 1.25])
+        assert io.read_csv(path) == (["step", "t", "radius"], [[0.0, 0.0, 1.25]])
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -1,8 +1,10 @@
 """Initial conditions, the run loop, run comparison, and the CLI."""
 
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 
@@ -170,6 +172,7 @@ class TestConfigValidation:
             {"initial": "random:"},
             {"initial": "random:x"},
             {"initial": "ab:1"},
+            {"method": "RK4", "dt": 1e-6, "t_end": 1.0},  # 1e6 steps, past MAX_STEPS
         ],
     )
     def test_rejected(self, kwargs):
@@ -414,6 +417,52 @@ class TestRunLoop:
         header, rows = io.read_csv(str(out / "steps.csv"))
         assert [row[header.index("step")] for row in rows] == [1, 2, 3]
         assert (out / "conservation.csv").exists()
+
+    def test_killed_run_keeps_its_rows(self, tmp_path):
+        # each row is appended when it is made, so a SIGKILL, which gives
+        # the process no chance to clean up, leaves every row written before it
+        out = tmp_path / "killed"
+        src = os.path.dirname(os.path.dirname(runner.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "euler2d.cli", "run", "--n", "32", "--t-end", "50",
+             "--output-cadence", "1", "--output-dir", str(out)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        steps = out / "steps.csv"
+        try:
+            deadline = time.monotonic() + 60
+            while not steps.exists() or steps.read_text().count("\n") < 4:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        whole = tmp_path / "whole"
+        runner.run(runner.RunConfig(n=32, t_end=1.0, output_cadence=1), output_dir=str(whole))
+        for name in ("steps.csv", "conservation.csv"):
+            header, rows = io.read_csv(str(out / name))
+            whole_header, whole_rows = io.read_csv(str(whole / name))
+            assert header == whole_header
+            assert all(len(row) == len(header) for row in rows)
+            assert rows[-1][header.index("t")] < 50  # killed before its end
+            # the whole run's last row is its step clipped at t_end = 1
+            count = min(len(rows), len(whole_rows) - 1)
+            assert count >= 3 and rows[:count] == whole_rows[:count]
+
+    def test_record_csvs_start_afresh(self, tmp_path):
+        # a directory with no fields/ holds no run; its old record files are
+        # replaced, not appended to
+        config = runner.RunConfig(method="RK4", dt=0.05, n=16, t_end=0.1)
+        runner.run(config, output_dir=str(tmp_path / "new"))
+        old = tmp_path / "old"
+        old.mkdir()
+        for name in ("steps.csv", "conservation.csv", "radius.csv"):
+            (old / name).write_text("stale,header\n1,2\n")
+        runner.run(config, output_dir=str(old))
+        for name in ("steps.csv", "conservation.csv", "radius.csv"):
+            assert (old / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
     def test_one_taylor_stack_alive_at_a_time(self, monkeypatch):
         # at every build, the stacks of earlier steps and probes are gone
@@ -744,6 +793,21 @@ class TestCli:
         ])
         assert code == 3
         assert "half a period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_run_that_cannot_finish_exit_code(self, tmp_path, capsys, order):
+        # at the default epsilon the first step is 9.8e-13 (order 1) or
+        # 1.6e-6 (order 2): ~1e12 or ~6e5 steps to t_end, past MAX_STEPS
+        out = tmp_path / "run"
+        start = time.monotonic()
+        code = cli.main([
+            "run", "--order", order, "--n", "32", "--t-end", "1", "--output-dir", str(out),
+        ])
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        assert "MAX_STEPS" in capsys.readouterr().err
+        _, rows = io.read_csv(str(out / "steps.csv"))
+        assert len(rows) == 1
 
     def test_truncated_field_exit_code(self, tmp_path):
         path = tmp_path / "cut.field"
