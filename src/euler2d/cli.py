@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: run, compare, radius (offline fit on a norms CSV), spectrum.
+Subcommands: run (one flag per RunConfig field, plus --output-dir),
+compare, radius (offline fit on a norms CSV), spectrum.
 Exit codes: 0 success, 2 configuration or input error (including a path
 that is missing, taken, of the wrong kind or not permitted, and a fixed dt
 that needs more than runner.MAX_STEPS steps), 3 numerical failure (including a
@@ -47,7 +48,6 @@ def _add_run_parser(sub):
     p.add_argument("--output-cadence", type=int)
     p.add_argument("--radius-cadence", type=int)
     p.add_argument("--radius-depth", type=int)
-    p.add_argument("--checkpoint-cadence", type=int)
     p.add_argument("--output-dir", required=True)
 
 

@@ -13,9 +13,10 @@ and owns t and the step rows; ``_run_cl`` and ``_run_eulerian`` only supply
 its per-step ``advance``.  ``_run_cl``'s ``advance`` runs the radius probe
 when it falls due, then takes the whole Lagrangian step; the latest fitted
 R is a value of that closure, inf (no cap) until a probe's fit succeeds.
-One ``_Record`` holds the run's artifacts and writes each file, and each
-row of steps.csv, conservation.csv and radius.csv, when the run makes it,
-so a run that is killed keeps its record up to that point.
+``run`` returns the ``RunArtifacts`` that recorded the run.  It writes each
+file, and each row of steps.csv, conservation.csv and radius.csv, when the
+run makes it, so a run that is killed keeps its record up to that point.
+The files of fields/ are the restart points: step in the name, t in the header.
 
 A step's Taylor stack (the grid gradients and norms of its coefficients,
 not the coefficients), particle positions and reverted grid are locals of
@@ -35,7 +36,7 @@ import contextlib
 import ctypes
 import os
 import warnings
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -80,7 +81,6 @@ class RunConfig:
     output_cadence: int = 10
     radius_cadence: int = 10
     radius_depth: int = 40
-    checkpoint_cadence: int = 0
 
     def validate(self):
         if self.method not in METHODS:
@@ -108,19 +108,9 @@ class RunConfig:
         if self.dt and self.t_end / self.dt > MAX_STEPS:
             raise ConfigError(f"t_end/dt = {self.t_end / self.dt:.3g} steps, "
                               f"more than MAX_STEPS={MAX_STEPS}")
-        for name in ("output_cadence", "radius_cadence", "radius_depth", "checkpoint_cadence"):
+        for name in ("output_cadence", "radius_cadence", "radius_depth"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-
-
-@dataclass
-class RunArtifacts:
-    config: RunConfig
-    omega: np.ndarray  # final spectral vorticity
-    t: float
-    steps: list = dc_field(default_factory=list)
-    conservation: list = dc_field(default_factory=list)  # (step, t, E, Z)
-    radius_series: list = dc_field(default_factory=list)  # (step, t, radius)
 
 
 def make_four_mode(n):
@@ -242,12 +232,16 @@ def _resolved(g):
     return np.sum(power[..., band]) <= HALF_GRID_BAND_SHARE * np.sum(power)
 
 
-class _Record:
-    """A run's record: the artifacts it returns and, when given an output
-    directory, the files it writes there."""
+class RunArtifacts:
+    """A run's record, which ``run`` returns: its config, rows and latest
+    recorded state (omega, t, the final state once the run ends) and, when
+    given an output directory, the files it writes there."""
 
     def __init__(self, config, omega, output_dir):
-        self.artifacts = RunArtifacts(config=config, omega=omega, t=0.0)
+        self.config = config
+        self.steps = []
+        self.conservation = []  # (step, t, E, Z)
+        self.radius_series = []  # (step, t, radius)
         self.dir = output_dir
         try:
             self._write("fields", os.makedirs)
@@ -259,6 +253,7 @@ class _Record:
         for name in ("conservation.csv", "steps.csv"):  # rows are appended: start empty
             with contextlib.suppress(FileNotFoundError):
                 self._write(name, os.remove)
+        self.state(0, omega, 0.0)
 
     def _write(self, name, write, *args, **kwargs):
         """write(path, ...) for name under the output directory, if there is one."""
@@ -266,9 +261,10 @@ class _Record:
             write(os.path.join(self.dir, name), *args, **kwargs)
 
     def state(self, step, omega, t):
-        """Conservation row, field file and spectrum of the state at t."""
+        """Record the state at t: its conservation row, field file and spectrum."""
+        self.omega, self.t = omega, t
         row = (step, t, diagnostics.energy(omega), diagnostics.enstrophy(omega))
-        self.artifacts.conservation.append(row)
+        self.conservation.append(row)
         self._write("conservation.csv", io.append_csv, ["step", "t", "energy", "enstrophy"], row)
         self._write(f"fields/omega_{step:06d}.field", _write_grid, omega, t)
         self._write(f"spectrum_{step:06d}.csv", _write_spectrum, omega)
@@ -279,16 +275,13 @@ class _Record:
         self._write(f"norms_{step:06d}.csv", io.write_csv, ["s", "norm"], rows)
         if report is not None:
             row = (step, t, report.radius)
-            self.artifacts.radius_series.append(row)
+            self.radius_series.append(row)
             self._write("radius.csv", io.append_csv, ["step", "t", "radius"], row)
 
     def step(self, row):
         """A step row; steps.csv takes its header from the first row's keys."""
-        self.artifacts.steps.append(row)
+        self.steps.append(row)
         self._write("steps.csv", io.append_csv, list(row), row.values())
-
-    def checkpoint(self, omega, t):
-        self._write("checkpoint.field", _write_grid, omega, t)
 
 
 def _write_grid(path, omega, t):
@@ -327,18 +320,17 @@ def _hold_freed_heap():
 
 
 def run(config, output_dir=None):
-    """Execute a run and return its artifacts (writing files when asked).
+    """Execute a run and return its RunArtifacts (writing files when asked).
 
     Sets the process-wide allocator policy of ``_hold_freed_heap`` first.
     """
     config.validate()
     _hold_freed_heap()
     omega = initial_vorticity(config)
-    record = _Record(config, omega, output_dir)
-    record.state(0, omega, 0.0)
+    record = RunArtifacts(config, omega, output_dir)
     method = _run_cl if config.method == "CL" else _run_eulerian
     method(config, omega, record)
-    return record.artifacts
+    return record
 
 
 def _march(config, omega, advance, record):
@@ -347,7 +339,7 @@ def _march(config, omega, advance, record):
     advance(omega, step, t) -> (omega, dt, fields) takes step number
     step + 1; fields holds the step-row entries that the method knows, over
     the defaults below.  The loop owns t, the step count, the step rows, the
-    output and checkpoint cadences and the record of the final state.  It
+    output cadence and the record of the final state.  It
     raises NumericalError after a step whose dt would take the run past
     MAX_STEPS steps before t_end.
     """
@@ -365,8 +357,6 @@ def _march(config, omega, advance, record):
         record.step(row)
         if config.output_cadence and step % config.output_cadence == 0:
             record.state(step, omega, t)
-        if config.checkpoint_cadence and step % config.checkpoint_cadence == 0:
-            record.checkpoint(omega, t)
         left = config.t_end - t  # the loop's own tolerance spares a run's last step
         if left > max((MAX_STEPS - step) * dt, 1e-12):
             count = left / dt if dt > 0 else np.inf
@@ -374,10 +364,8 @@ def _march(config, omega, advance, record):
                 f"order {row['order']} at dt={dt:.3g} needs {count:.3g} more steps to "
                 f"t_end={config.t_end:g}: past MAX_STEPS={MAX_STEPS} after step {step}"
             )
-    if record.artifacts.conservation[-1][1] != t:
+    if record.t != t:
         record.state(step, omega, t)
-    record.artifacts.omega = omega
-    record.artifacts.t = t
 
 
 def _run_cl(config, omega, record):

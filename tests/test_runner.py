@@ -1,5 +1,7 @@
 """Initial conditions, the run loop, run comparison, and the CLI."""
 
+import argparse
+import dataclasses
 import os
 import signal
 import subprocess
@@ -155,7 +157,7 @@ class TestConfigValidation:
             {"method": "RK4", "dt": -0.1},
             {"output_cadence": -1},
             {"radius_cadence": -1},
-            {"checkpoint_cadence": -1},
+            {"method": "RK4", "dt": 0.0},  # a zero fixed step
             {"t_end": float("nan")},
             {"method": "RK4", "t_end": float("inf"), "dt": 0.01},
             {"epsilon": float("nan")},
@@ -180,9 +182,7 @@ class TestConfigValidation:
             runner.RunConfig(**kwargs).validate()
 
     def test_zero_cadences_accepted(self):
-        runner.RunConfig(
-            output_cadence=0, radius_cadence=0, checkpoint_cadence=0
-        ).validate()
+        runner.RunConfig(output_cadence=0, radius_cadence=0).validate()
 
 
 # Run in a fresh interpreter, so that neither an earlier test's call of the
@@ -281,12 +281,11 @@ class TestRunLoop:
     )
     def test_output_directory_contents(self, tmp_path, method):
         # both methods go through one loop: one field, spectrum and
-        # conservation row per step, and the checkpoint of the last step
+        # conservation row per step, and the newest field file holds the final state
         out = tmp_path / "run"
         config = runner.RunConfig(
             **method, order=8, n=64, t_end=0.3,
             output_cadence=1, radius_cadence=2, radius_depth=25,
-            checkpoint_cadence=1,
         )
         art = runner.run(config, output_dir=str(out))
         assert (out / "config.txt").exists()
@@ -302,7 +301,7 @@ class TestRunLoop:
         assert [row[0] for row in rows] == list(range(1, steps + 1))
         # each step record's t is the loop's t after that step
         assert [row[1] for row in rows] == [row[1] for row in kept[1:]]
-        assert io.read_field(str(out / "checkpoint.field"))[1] == art.t
+        assert io.read_field(str(out / "fields" / fields[-1]))[1] == art.t
         assert art.t == pytest.approx(0.3, abs=1e-12)
         norms = [f for f in os.listdir(out) if f.startswith("norms_")]
         if config.method == "CL":
@@ -310,6 +309,19 @@ class TestRunLoop:
             assert norms
         else:
             assert not norms
+
+    def test_returned_rows_are_the_csv_rows(self, tmp_path):
+        # run returns the record that wrote the directory: its rows are the files' rows
+        out = tmp_path / "run"
+        config = runner.RunConfig(n=32, t_end=0.3, radius_cadence=2, radius_depth=20)
+        art = runner.run(config, output_dir=str(out))
+        assert len(art.radius_series) >= 2
+        for name, rows in (
+            ("steps.csv", [list(row.values()) for row in art.steps]),
+            ("conservation.csv", [list(row) for row in art.conservation]),
+            ("radius.csv", [list(row) for row in art.radius_series]),
+        ):
+            assert io.read_csv(str(out / name))[1] == rows
 
     @pytest.mark.parametrize(
         "method, order",
@@ -609,6 +621,20 @@ class TestCli:
         runner.run(runner.RunConfig(t_end=0.0), str(tmp_path / "lib"))
         want = (tmp_path / "lib" / "config.txt").read_text()
         assert (cli_dir / "config.txt").read_text() == want
+
+    def test_run_flags_are_the_config_fields(self, tmp_path, capsys):
+        sub = argparse.ArgumentParser().add_subparsers()
+        cli._add_run_parser(sub)
+        flags = {flag for action in sub.choices["run"]._actions for flag in action.option_strings}
+        fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(runner.RunConfig)}
+        assert flags - {"-h", "--help"} == fields | {"--output-dir"}
+        # the fields/ files are the run's restart points: there is no checkpoint setting
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--t-end", "0.05", "--checkpoint-cadence", "1",
+                      "--output-dir", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--checkpoint-cadence" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_radius_non_positive_norm_exit_code(self, tmp_path, capsys):
         norms_csv = str(tmp_path / "norms.csv")
