@@ -11,8 +11,9 @@ vorticity to the next.
 The stages pass plain arrays.  One loop, ``_march``, drives every method
 and owns t and the step rows; ``_run_cl`` and ``_run_eulerian`` only supply
 its per-step ``advance``.  ``_run_cl``'s ``advance`` runs the radius probe
-when it falls due, then takes the whole Lagrangian step; the latest fitted
-R is a value of that closure, inf (no cap) until a probe's fit succeeds.
+when it falls due, then takes the whole Lagrangian step.  That closure holds
+the latest fitted R (inf, no cap, until a fit succeeds) and the grid of the
+latest probe, where the next starts: a probe's grid only grows in a run.
 ``run`` returns the ``RunArtifacts`` that recorded the run.  It writes each
 file, and each row of steps.csv, conservation.csv and radius.csv, when the
 run makes it, so a run that is killed keeps its record up to that point.
@@ -22,7 +23,7 @@ A step's Taylor stack (the grid gradients and norms of its coefficients,
 not the coefficients), particle positions and reverted grid are locals of
 that ``advance``, so they are freed when the step returns, before the next
 step (or radius probe) builds its stack.  The radius probe keeps only the
-norms of its deep stack.
+norms of its deep stack, built on the coarsest grid that resolves it.
 
 ``run`` sets glibc's allocator policy for the whole process (see
 ``_hold_freed_heap``): blocks under 32 MiB come from the heap, and its free
@@ -61,9 +62,11 @@ MODULUS_FLOOR = 1e-18
 # the random flow's phases are drawn over |k1|, |k2| <= this cutoff, the
 # dealias square of n = 256, at every n
 RANDOM_LATTICE_CUTOFF = 85
-# a radius probe keeps its n/2-grid stack when the deepest coefficient holds
-# at most this share of its gradient energy within 4 modes of the n/2 cutoff
-HALF_GRID_BAND_SHARE = 1e-3
+# a radius probe keeps a coarse-grid stack when the deepest coefficient holds
+# at most this share of its gradient energy within 4 modes of that grid's cutoff
+BAND_SHARE = 1e-3
+# the coarsest grid a radius probe tries: no depth-40 stack has been resolved at 64
+PROBE_GRID_FLOOR = 128
 
 # glibc mallopt (M_MMAP_THRESHOLD, 32 MiB) and (M_TRIM_THRESHOLD, 64 MiB)
 _HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
@@ -194,42 +197,38 @@ def initial_vorticity(config):
     return omega
 
 
-def radius_probe(omega, depth):
+def radius_probe(omega, depth, grid=PROBE_GRID_FLOOR):
     """Fit the L2-norm series of a deep displacement stack; returns
-    (FitReport or None, norm sequence).
+    (FitReport or None, norm sequence, grid size m of the stack).
 
-    From n = 256 up, at a depth that fit_radius can fit, the stack is first
-    built from omega truncated to the n/2 grid.  It is kept when its deepest
-    coefficient holds at most HALF_GRID_BAND_SHARE of its gradient energy
-    in the band max(|k1|, |k2|) > K' - 4, K' the n/2 dealias cutoff;
-    otherwise the stack is built on the full grid.  Below n = 256 the half
-    grid never resolves a depth-40 stack, so it is not tried.
+    At a depth that fit_radius can fit, the stack is built from omega truncated
+    to each grid m = n/2^k >= max(grid, PROBE_GRID_FLOOR), k >= 1, coarse to
+    fine, and the first that _resolved accepts is kept; otherwise it is built
+    on the full grid m = n.  A run passes its last probe's m as grid.
     """
     n = omega.shape[-2]
-    resolved = False
-    if n >= 256 and depth >= diagnostics.RADIUS_S_MIN + 3:
-        grads, norms = lagrangian.build_stack(spectral.truncate(omega, n // 2), depth)
-        resolved = _resolved(grads[-1])
-        del grads  # freed before a full-grid stack is built
-    if not resolved:
-        _, norms = lagrangian.build_stack(omega, depth)
+    coarsest = max(grid, PROBE_GRID_FLOOR) if depth >= diagnostics.RADIUS_S_MIN + 3 else n
+    for m in [n >> k for k in range(n.bit_length(), 0, -1) if n >> k >= coarsest] + [n]:
+        grads, norms = lagrangian.build_stack(spectral.truncate(omega, m), depth)
+        if m == n or _resolved(grads[-1]):
+            break
+        del grads  # freed before the next grid's stack is built
     try:
-        report = diagnostics.fit_radius(norms)
+        return diagnostics.fit_radius(norms), norms, m
     except InsufficientDataError:
-        return None, norms
-    return report, norms
+        return None, norms, m
 
 
 def _resolved(g):
-    """Whether at most HALF_GRID_BAND_SHARE of sum |g_k|^2, over the
-    components of the (2, 2, m, m) gradient grids g, lies in the band
-    max(|k1|, |k2|) > dealias_cutoff(m) - 4 (so g = 0 is resolved)."""
+    """Whether at most BAND_SHARE of sum |g_k|^2, over the components of the
+    (2, 2, m, m) gradient grids g, lies in the band max(|k1|, |k2|) >
+    dealias_cutoff(m) - 4 (so g = 0 is resolved)."""
     m = g.shape[-1]
     k1, k2 = spectral.wavegrid(m)
     band = np.maximum(np.abs(k1), k2) > spectral.dealias_cutoff(m) - 4
     g_hat = spectral.forward(g)
     power = spectral.half_plane_weights(m) * (g_hat.real**2 + g_hat.imag**2)
-    return np.sum(power[..., band]) <= HALF_GRID_BAND_SHARE * np.sum(power)
+    return np.sum(power[..., band]) <= BAND_SHARE * np.sum(power)
 
 
 class RunArtifacts:
@@ -369,13 +368,13 @@ def _march(config, omega, advance, record):
 
 
 def _run_cl(config, omega, record):
-    radius = np.inf  # the latest fitted radius; it caps each step (choose_step)
+    radius, grid = np.inf, PROBE_GRID_FLOOR  # the latest fitted radius and probe grid
 
     def advance(omega, step, t):
         """Probe when due, then take Lagrangian step number step + 1 from (omega, t)."""
-        nonlocal radius
+        nonlocal radius, grid
         if config.radius_cadence and step % config.radius_cadence == 0:
-            report, norms = radius_probe(omega, config.radius_depth)
+            report, norms, grid = radius_probe(omega, config.radius_depth, grid)
             record.probe(step, t, report, norms)
             if report is not None:
                 radius = report.radius

@@ -1,7 +1,7 @@
 """End-to-end acceptance runs at desk scale (N in {128, 256}).
 
 Each test is one criterion.  The runs are shared through module-scoped
-fixtures; the whole module takes a few minutes single-threaded.
+fixtures; the whole module takes ~50-60 s single-threaded.
 """
 
 import pathlib
@@ -116,7 +116,7 @@ def test_c03_conservation(cl8_t1, rk4_t1, et8_t1, cl8_t3, rk4_t3, et8_t3):
 
 
 def test_c04_initial_radius_of_convergence():
-    report, _ = runner.radius_probe(runner.make_four_mode(256), depth=40)
+    report, _, _ = runner.radius_probe(runner.make_four_mode(256), depth=40)
     assert report is not None
     assert 1.0 <= report.radius <= 1.4, f"R = {report.radius:.4f}"
     # and the fitting machinery itself is exact on its own model

@@ -71,7 +71,7 @@ class TestBuildStack:
         for got, g in zip(step_grads, grads):
             np.testing.assert_array_equal(got, g)
         np.testing.assert_array_equal(norms, want)
-        _, probe_norms = runner.radius_probe(omega, 40)
+        _, probe_norms, _ = runner.radius_probe(omega, 40)
         np.testing.assert_array_equal(probe_norms, want)
         lag = diagnostics.coefficient_norm_probe(omega, 40, 2)["lagrangian_norms"]
         np.testing.assert_array_equal(lag, want)

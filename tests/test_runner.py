@@ -88,8 +88,8 @@ class TestInitialConditions:
         assert np.max(np.abs(back - s)) < 1e-13
 
     def test_random_flow_is_one_field_truncated(self):
-        # the flow at n is the flow at 512 truncated, so a probe's n/2 grid
-        # starts from the flow at n/2
+        # the flow at n is the flow at 512 truncated, so a probe's coarse grid
+        # m starts from the flow at m
         for seed in (0, 3):
             fine = runner.make_random_flow(512, seed)
             for n in (16, 24, 32, 48, 64, 128, 256):
@@ -382,7 +382,7 @@ class TestRunLoop:
         report = diagnostics.FitReport(
             alpha=0.0, beta=-np.log(0.05), gamma=1.0, radius=0.05, fit_window=(1, 2)
         )
-        monkeypatch.setattr(runner, "radius_probe", lambda omega, depth: (report, []))
+        monkeypatch.setattr(runner, "radius_probe", lambda omega, depth, grid: (report, [], grid))
         config = runner.RunConfig(method="CL", n=32, t_end=0.03, radius_cadence=1)
         art = runner.run(config)
         assert len(art.steps) == 5
@@ -397,9 +397,9 @@ class TestRunLoop:
         )
         probes = []
 
-        def probe(omega, depth):
+        def probe(omega, depth, grid):
             probes.append(None)
-            return (report if len(probes) == 1 else None), [1.0]
+            return (report if len(probes) == 1 else None), [1.0], grid
 
         monkeypatch.setattr(runner, "radius_probe", probe)
         config = runner.RunConfig(method="CL", n=32, t_end=0.03, radius_cadence=1)
@@ -897,16 +897,18 @@ class TestCli:
 
 
 def test_radius_probe_reports_fit():
-    report, norms = runner.radius_probe(runner.make_four_mode(128), depth=30)
+    report, norms, grid = runner.radius_probe(runner.make_four_mode(128), depth=30)
     assert report is not None
     assert len(norms) == 30
+    assert grid == 128
     assert 0.8 < report.radius < 1.6
 
 
 def test_radius_probe_keeps_only_norms():
     # the depth-40 probe holds its gradient grids, not its coefficients; at
-    # n = 256 the four-mode stack is resolved on, and held at, the half grid
-    for n, grid in ((64, 64), (256, 128)):
+    # n = 256 and 512 the four-mode stack is resolved on, and held at, the
+    # 128 grid
+    for n, grid in ((64, 64), (256, 128), (512, 128)):
         omega = runner.make_four_mode(n)
         runner.radius_probe(omega, 13)  # fill the transform caches first
         tracemalloc.start()
@@ -918,43 +920,58 @@ def test_radius_probe_keeps_only_norms():
         assert peak <= 1.2 * (40 * 2 * 2 * grid * grid * 8), f"n={n}"
 
 
-def _stack_grids(monkeypatch):
-    """The grid size of each lagrangian.build_stack call, in call order."""
+def _stack_grids(monkeypatch, depth=None):
+    """The grid size of each lagrangian.build_stack call (of the given
+    depth, if one is given), in call order."""
     grids = []
     build = lagrangian.build_stack
 
     def spy(omega, order):
-        grids.append(omega.shape[-2])
+        if depth in (None, order):
+            grids.append(omega.shape[-2])
         return build(omega, order)
 
     monkeypatch.setattr(lagrangian, "build_stack", spy)
     return grids
 
 
+def _random0(n):
+    return runner.initial_vorticity(runner.RunConfig(initial="random:0", n=n))
+
+
+@pytest.fixture(scope="module")
+def random0_norms():
+    """The norms of the depth-40 stack of random:0 built on the 256 grid."""
+    return lagrangian.build_stack(_random0(256), 40)[1]
+
+
 class TestRadiusProbeGrid:
+    # the probe's grids are n/2^k from 128 up, so n = 256 tries the half grid
+    # alone and n = 512 tries 128, then 256
     def test_resolved_stack_stays_on_the_half_grid(self, monkeypatch):
         omega = runner.make_four_mode(256)
         _, full = lagrangian.build_stack(omega, 40)
         want = diagnostics.fit_radius(full).radius
         grids = _stack_grids(monkeypatch)
-        report, norms = runner.radius_probe(omega, 40)
+        report, norms, grid = runner.radius_probe(omega, 40)
         assert grids == [128]
+        assert grid == 128
         assert len(norms) == 40
         assert report.radius == pytest.approx(want, rel=1e-5)
 
-    def test_unresolved_stack_falls_back_to_the_full_grid(self, monkeypatch):
-        omega = runner.initial_vorticity(runner.RunConfig(initial="random:0", n=256))
-        _, want = lagrangian.build_stack(omega, 40)
+    def test_unresolved_stack_falls_back_to_the_full_grid(self, monkeypatch, random0_norms):
         grids = _stack_grids(monkeypatch)
-        _, norms = runner.radius_probe(omega, 40)
+        _, norms, grid = runner.radius_probe(_random0(256), 40)
         assert grids == [128, 256]
-        np.testing.assert_array_equal(norms, want)
+        assert grid == 256
+        np.testing.assert_array_equal(norms, random0_norms)
 
     def test_rest_state_stays_on_the_half_grid(self, monkeypatch):
         # a zero stack has no energy in the band: the half grid resolves it
         grids = _stack_grids(monkeypatch)
-        report, norms = runner.radius_probe(np.zeros((256, 129), dtype=complex), 40)
+        report, norms, grid = runner.radius_probe(np.zeros((256, 129), dtype=complex), 40)
         assert grids == [128]
+        assert grid == 128
         assert report is None
         np.testing.assert_array_equal(norms, np.zeros(40))
 
@@ -965,14 +982,50 @@ class TestRadiusProbeGrid:
 
     @pytest.mark.parametrize("depth", [0, 12])
     def test_depth_too_shallow_to_fit(self, monkeypatch, depth):
-        # below RADIUS_S_MIN + 3 no fit is possible, so no half grid is tried
+        # below RADIUS_S_MIN + 3 no fit is possible, so no coarse grid is tried
         omega = runner.make_four_mode(256)
         _, want = lagrangian.build_stack(omega, depth)
         grids = _stack_grids(monkeypatch)
-        report, norms = runner.radius_probe(omega, depth)
+        report, norms, grid = runner.radius_probe(omega, depth)
         assert report is None
         assert grids == [256]
+        assert grid == 256
         np.testing.assert_array_equal(norms, want)
+
+    def test_resolved_at_512_on_the_floor_grid(self, monkeypatch):
+        # the four-mode flow is one field at every n, so the 512 probe's 128
+        # stack is the 256 probe's
+        _, want, _ = runner.radius_probe(runner.make_four_mode(256), 40)
+        grids = _stack_grids(monkeypatch)
+        _, norms, grid = runner.radius_probe(runner.make_four_mode(512), 40)
+        assert grids == [128]
+        assert grid == 128
+        np.testing.assert_array_equal(norms, want)
+
+    def test_unresolved_at_512_climbs_the_ladder(self, monkeypatch, random0_norms):
+        grids = _stack_grids(monkeypatch)
+        _, norms, grid = runner.radius_probe(_random0(512), 40)
+        assert grids == [128, 256]
+        assert grid == 256
+        np.testing.assert_array_equal(norms, random0_norms)
+
+    def test_starts_at_the_given_grid(self, monkeypatch, random0_norms):
+        grids = _stack_grids(monkeypatch)
+        _, norms, grid = runner.radius_probe(_random0(512), 40, grid=256)
+        assert grids == [256]
+        assert grid == 256
+        np.testing.assert_array_equal(norms, random0_norms)
+
+    def test_run_keeps_the_grid_of_its_last_probe(self, monkeypatch):
+        # random:0 at 256 needs the full grid from the first probe on, so
+        # only that probe tries the 128 grid (3 steps to t = 0.05)
+        grids = _stack_grids(monkeypatch, depth=40)
+        config = runner.RunConfig(
+            initial="random:0", n=256, t_end=0.05, radius_cadence=1, output_cadence=0
+        )
+        art = runner.run(config)
+        assert len(art.steps) == 3
+        assert grids == [128, 256, 256, 256]
 
     def test_cli_depth_zero_at_256(self, tmp_path):
         code = cli.main([
