@@ -16,7 +16,8 @@ from .errors import NumericalError
 
 def _quiet(func):
     """func with overflow and NaN left to the finiteness checks to report.
-    Each function gets an errstate of its own: numpy 1.x cannot re-enter one."""
+    Each function gets an errstate of its own: numpy cannot enter one
+    np.errstate twice, and rk4_step -> rhs -> et_coefficients nest."""
     return np.errstate(over="ignore", invalid="ignore")(func)
 
 

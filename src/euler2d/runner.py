@@ -35,6 +35,7 @@ musl's stub does) ``run`` warns with a ``RuntimeWarning``.
 
 import contextlib
 import ctypes
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, asdict
@@ -93,10 +94,10 @@ class RunConfig:
                               "random:<seed> nor a field file")
         if self.order == "auto" and self.method != "CL":
             raise ConfigError(f"order=auto is for CL, not {self.method}")
-        if self.order != "auto" and not (isinstance(self.order, int) and self.order >= 1):
+        if self.order != "auto" and not (_integer(self.order) and self.order >= 1):
             raise ConfigError(f"order must be 'auto' or an integer >= 1, not {self.order!r}")
-        if self.n < 16:
-            raise ConfigError("resolution must be at least 16")
+        if not (_integer(self.n) and self.n >= 16):
+            raise ConfigError(f"n must be an integer >= 16, not {self.n!r}")
         # chained comparisons are False for NaN as well
         if not 0.0 < self.epsilon < np.inf:
             raise ConfigError("epsilon must be positive and finite")
@@ -112,8 +113,14 @@ class RunConfig:
             raise ConfigError(f"t_end/dt = {self.t_end / self.dt:.3g} steps, "
                               f"more than MAX_STEPS={MAX_STEPS}")
         for name in ("output_cadence", "radius_cadence", "radius_depth"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (_integer(value) and value >= 0):
+                raise ConfigError(f"{name} must be an integer >= 0, not {value!r}")
+
+
+def _integer(value):
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def make_four_mode(n):
@@ -160,7 +167,7 @@ def make_random_flow(n, seed):
     # shells 1..kc: one phase per member, drawn in that order
     k1, k2 = np.meshgrid(np.arange(kc + 1), k, indexing="ij")
     shell = shells[kc:]
-    member = ((k1 > 0) | (k2 > 0)) & (shell >= 1) & (shell <= kc)
+    member = ((k1 > 0) | (k2 > 0)) & (shell <= kc)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=np.count_nonzero(member))
     modulus = moduli[shell[member]]
     kept = modulus >= MODULUS_FLOOR

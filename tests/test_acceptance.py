@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from euler2d import _cascade_py, diagnostics, io, runner, spectral
+from euler2d import _cascade_py, cli, diagnostics, io, runner, spectral
 from euler2d.errors import NumericalError
 
 EPSILON = 1e-12
@@ -238,13 +238,18 @@ def test_c13_pi_rotation_symmetry(cl8_t1):
     assert asym <= 1e-13, f"pi-rotation asymmetry {asym:.3e}"
 
 
-def test_c14_steps_beyond_the_cfl_limit(cl8_t1):
+def test_c14_steps_beyond_the_cfl_limit(cl8_t1, tmp_path, capsys):
     """RK4 at dt=0.02 is past its stability limit on the four-mode flow at
-    N=256: it blows up, and says so by NumericalError alone, with no numpy
-    warning.  Every CL8 step is larger (0.0589-0.0603, the clipped last one
-    0.0451)."""
+    N=256: it blows up, and says so by NumericalError alone (exit 3 from the
+    CLI), with no numpy warning.  Every CL8 step is larger (0.0589-0.0603,
+    the clipped last one 0.0451)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
             _run(method="RK4", dt=0.02, n=256, t_end=1.0)
+        code = cli.main(["run", "--method", "RK4", "--dt", "0.02", "--n", "256",
+                         "--t-end", "1", "--output-dir", str(tmp_path / "rk4")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "RuntimeWarning" not in err
     assert min(row["dt"] for row in cl8_t1.steps) > 0.02

@@ -175,6 +175,14 @@ class TestConfigValidation:
             {"initial": "random:x"},
             {"initial": "ab:1"},
             {"method": "RK4", "dt": 1e-6, "t_end": 1.0},  # 1e6 steps, past MAX_STEPS
+            # a bool or a float where an integer belongs
+            {"order": True},
+            {"order": 8.0},
+            {"n": 32.0},
+            {"n": True},
+            {"output_cadence": 1.5},
+            {"radius_cadence": True},
+            {"radius_depth": 40.0},
         ],
     )
     def test_rejected(self, kwargs):
@@ -268,6 +276,7 @@ class TestRunLoop:
         for rec in art.steps:
             assert rec["truncation_term"] < config.epsilon
             assert rec["jacobian_min"] > 0.0
+            assert abs(rec["jacobian_min"] - 1.0) < 1e-8  # the map keeps area
             assert rec["rejections"] == 0
 
     def test_eulerian_step_count(self):
@@ -277,16 +286,24 @@ class TestRunLoop:
         assert art.t == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
-        "method", [{"method": "CL"}, {"method": "RK4", "dt": 0.05}], ids=["CL", "RK4"]
+        "settings, capped",
+        [
+            ({"method": "CL"}, False),
+            ({"method": "RK4", "dt": 0.05}, False),
+            # at epsilon = 1e-6 the order-8 truncation step exceeds R e^-2, so
+            # the radius fitted by the probe before each step sets that step
+            ({"method": "CL", "epsilon": 1e-6, "radius_cadence": 1}, True),
+        ],
+        ids=["CL", "RK4", "CL-capped"],
     )
-    def test_output_directory_contents(self, tmp_path, method):
+    def test_output_directory_contents(self, tmp_path, settings, capped):
         # both methods go through one loop: one field, spectrum and
         # conservation row per step, and the newest field file holds the final state
         out = tmp_path / "run"
-        config = runner.RunConfig(
-            **method, order=8, n=64, t_end=0.3,
-            output_cadence=1, radius_cadence=2, radius_depth=25,
-        )
+        config = runner.RunConfig(**{
+            "order": 8, "n": 64, "t_end": 0.3,
+            "output_cadence": 1, "radius_cadence": 2, "radius_depth": 25, **settings,
+        })
         art = runner.run(config, output_dir=str(out))
         assert (out / "config.txt").exists()
         steps = len(art.steps)
@@ -303,10 +320,19 @@ class TestRunLoop:
         assert [row[1] for row in rows] == [row[1] for row in kept[1:]]
         assert io.read_field(str(out / "fields" / fields[-1]))[1] == art.t
         assert art.t == pytest.approx(0.3, abs=1e-12)
-        norms = [f for f in os.listdir(out) if f.startswith("norms_")]
+        # every whole-file write goes to <name>.tmp and is renamed: none is left
+        assert not list(out.rglob("*.tmp"))
+        norms = sorted(f for f in os.listdir(out) if f.startswith("norms_"))
         if config.method == "CL":
-            assert (out / "radius.csv").exists()
-            assert norms
+            probes = range(0, steps, config.radius_cadence)
+            assert norms == [f"norms_{step:06d}.csv" for step in probes]
+            _, radii = io.read_csv(str(out / "radius.csv"))
+            assert radii
+            # each step is capped by R e^-2 for the latest radius fitted before it
+            for step, _, _, dt_unclipped, *_ in rows:
+                cap = ([np.inf] + [R for p, _, R in radii if p < step])[-1] * np.exp(-2.0)
+                assert dt_unclipped <= cap
+                assert (dt_unclipped == pytest.approx(cap, rel=1e-14)) == capped
         else:
             assert not norms
 
@@ -329,8 +355,9 @@ class TestRunLoop:
             ({"method": "CL"}, None),
             ({"method": "RK4", "dt": 0.05}, 4),
             ({"method": "ET", "order": 6, "dt": 0.05}, 6),
+            ({"method": "RK2", "dt": 0.05}, 2),
         ],
-        ids=["CL", "RK4", "ET"],
+        ids=["CL", "RK4", "ET", "RK2"],
     )
     def test_step_rows_share_one_schema(self, tmp_path, method, order):
         # an Eulerian row takes the loop's defaults for what only CL
@@ -602,6 +629,7 @@ class TestCli:
         assert code == 0
         norms_csv = os.path.join(out, "norms_000000.csv")
         assert cli.main(["radius", norms_csv, "--s-min", "8"]) == 0
+        assert cli.main(["radius", norms_csv, "--s-max", "20"]) == 0
 
     def test_radius_matches_run_probe(self, tmp_path, capsys):
         # the offline fit reads the same orders as the run's own probe
@@ -722,6 +750,14 @@ class TestCli:
         path.write_text("")
         code = cli.main([
             "compare", str(path), str(path), "--output-dir", str(tmp_path / "cmp"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "cmp").exists()
+        # a run against a directory that does not exist: both are read first
+        run = str(tmp_path / "run")
+        runner.run(runner.RunConfig(method="RK4", dt=0.05, n=16, t_end=0.1), output_dir=run)
+        code = cli.main([
+            "compare", run, str(tmp_path / "missing"), "--output-dir", str(tmp_path / "cmp"),
         ])
         assert code == 2
         assert not (tmp_path / "cmp").exists()
