@@ -54,19 +54,16 @@ def rk4_step(omega, dt):
 @_quiet
 def et_coefficients(omega0, order):
     """Taylor coefficients [w_0..w_order] from (s+1) w_{s+1} = -sum_m (v_m . grad) w_{s-m}."""
+    n = omega0.shape[0]
     coeffs = [omega0]
-    v_grids = []
-    grads = []
+    # grids[s] holds the velocity [0] and gradient [1] grids of w_s, which enters
+    # the sums from order s+1 on; w_order itself is never read
+    grids = np.empty((order, 2, 2, n, n))
     for s in range(order):
-        # w_s enters the sums from order s+1 on; w_order itself is never read
-        v_grids.append(
-            spectral.inverse(spectral.velocity_from_vorticity(coeffs[s]), check=False)
-        )
-        grads.append(spectral.inverse(spectral.gradient(coeffs[s]), check=False))
-        acc = v_grids[0][0] * grads[s][0] + v_grids[0][1] * grads[s][1]
-        for m in range(1, s + 1):
-            g = grads[s - m]
-            acc += v_grids[m][0] * g[0] + v_grids[m][1] * g[1]
+        spectral.inverse(spectral.velocity_from_vorticity(coeffs[s]), check=False,
+                         out=grids[s, 0])
+        spectral.inverse(spectral.gradient(coeffs[s]), check=False, out=grids[s, 1])
+        acc = np.einsum("mkij,mkij->ij", grids[: s + 1, 0], grids[s::-1, 1])
         w_next = spectral.dealias(spectral.forward(acc))
         w_next /= -(s + 1)
         # the mean of an advection sum vanishes analytically; drop the rounding residue

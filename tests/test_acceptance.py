@@ -253,3 +253,42 @@ def test_c14_steps_beyond_the_cfl_limit(cl8_t1, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure") and "RuntimeWarning" not in err
     assert min(row["dt"] for row in cl8_t1.steps) > 0.02
+
+
+def _power_law_flow(p, seed, n, m=256):
+    """Unit-norm vorticity with |w_k| ~ |k|^-(p+1) and seeded random phases,
+    filled up to the dealias cutoff of the m grid and truncated to n: the
+    same flow of limited smoothness at each resolution n <= m."""
+    k1, k2 = spectral.wavegrid(m)
+    k = np.hypot(k1, k2)
+    k[0, 0] = 1.0
+    phase = np.random.default_rng(seed).random(k.shape)
+    s = k ** -(p + 1.0) * np.exp(2j * np.pi * phase)
+    s[0, 0] = 0.0
+    # the k2 = 0 column holds both k1 and -k1: a conjugate pair keeps the flow real
+    s[m // 2 + 1 :, 0] = np.conj(s[m // 2 - 1 : 0 : -1, 0])
+    s = spectral.truncate(s, n)
+    return s / spectral.norm_l2(s)
+
+
+def test_c15_limited_smoothness():
+    """On a flow of limited smoothness the Eulerian (vorticity) radius halves
+    as N doubles, since finer grids resolve a rougher field, while the
+    Lagrangian (trajectory) radius stays put: the premise of the method.
+    Every seed and both exponents are checked; none is chosen."""
+    rows = []
+    for p in (2, 3):
+        for seed in range(4):
+            eul, lag = [], []
+            for n in (64, 128, 256):
+                # build_stack's norms and the norm_l2 of each et_coefficients term
+                probe = diagnostics.coefficient_norm_probe(_power_law_flow(p, seed, n), 24, 24)
+                lag.append(diagnostics.fit_radius(probe["lagrangian_norms"], s_min=5).radius)
+                eul.append(diagnostics.fit_radius(probe["eulerian_norms"], s_min=5).radius)
+            rows.append((p, seed, eul[1] / eul[0], eul[2] / eul[1],
+                         lag[2] / lag[0], lag[2] / eul[2]))
+    table = "\n".join("p=%d seed=%d: E x%.3f, x%.3f; L256/L64 %.3f; L/E %.3f" % r for r in rows)
+    for *_, e1, e2, l_ratio, l_over_e in rows:
+        assert 0.35 <= e1 <= 0.65 and 0.35 <= e2 <= 0.65, table
+        assert l_ratio >= 0.6, table
+        assert l_over_e >= 2.5, table

@@ -3,11 +3,33 @@
 import numpy as np
 import pytest
 
-from euler2d import diagnostics, eulerian, runner, spectral
+from euler2d import diagnostics, eulerian, runner, series, spectral
 
 
 def _ab(n=64):
     return runner.make_ab_flow(n)
+
+
+def _et_coefficients_loop(omega0, order):
+    """et_coefficients as two lists of grids and a product loop: the reference
+    for the one contraction per order that the module forms."""
+    coeffs = [omega0]
+    v_grids = []
+    grads = []
+    for s in range(order):
+        v_grids.append(
+            spectral.inverse(spectral.velocity_from_vorticity(coeffs[s]), check=False)
+        )
+        grads.append(spectral.inverse(spectral.gradient(coeffs[s]), check=False))
+        acc = v_grids[0][0] * grads[s][0] + v_grids[0][1] * grads[s][1]
+        for m in range(1, s + 1):
+            g = grads[s - m]
+            acc += v_grids[m][0] * g[0] + v_grids[m][1] * g[1]
+        w_next = spectral.dealias(spectral.forward(acc))
+        w_next /= -(s + 1)
+        w_next[0, 0] = 0.0
+        coeffs.append(w_next)
+    return coeffs
 
 
 class TestRhs:
@@ -117,6 +139,23 @@ class TestTaylorCoefficients:
         grid_et = spectral.inverse(et, check=False)
         grid_rk = spectral.inverse(rk, check=False)
         assert np.max(np.abs(grid_et - grid_rk)) < 1e-11
+
+    @pytest.mark.parametrize("initial", ["four_mode", "random:3"])
+    def test_first_coefficient_matches_loop_bitwise(self, initial):
+        omega = runner.initial_vorticity(runner.RunConfig(n=64, initial=initial))
+        got = eulerian.et_coefficients(omega, 1)[1]
+        want = _et_coefficients_loop(omega, 1)[1]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("initial", ["four_mode", "random:3"])
+    def test_et8_step_matches_loop(self, initial, n):
+        """The contraction sums the orders' products in another order than
+        the loop, so the step agrees to rounding, 1e-15 relative."""
+        omega = runner.initial_vorticity(runner.RunConfig(n=n, initial=initial))
+        got = eulerian.et_step(omega, 0.01, 8)
+        want = series.horner(_et_coefficients_loop(omega, 8), 0.01)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_et_zero_dt_identity(self):
         omega = runner.make_four_mode(64)
